@@ -113,12 +113,16 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
     hb = _germ_half_bench(germ)
     if hb is not None:
         return GermClass("LC-HalfBench", hb)
-    if contact == 2 and order is not None:
-        ends_contact = sum(int(theta.get(v, 0)) for v in {order[0], order[-1]})
-        interior_contact = contact - ends_contact
-        if interior_contact == 0:
-            return GermClass("LC-Segment", {"chain": order})
+    if contact == 2 and order is not None and _segment_contacts(order, theta):
+        return GermClass("LC-Segment", {"chain": order})
     return GermClass("NotLC")
+
+
+def _segment_contacts(order: tuple[str, ...], theta: Mapping[str, Fraction]) -> bool:
+    """Whether a chain with reduced-boundary contact 2 in all is a segment:
+    a lone curve, or contact 1 at each end (contact 2 at one end of a longer
+    chain gives coefficients above 1)."""
+    return len(order) == 1 or theta.get(order[0]) == theta.get(order[-1]) == 1
 
 
 def _all_minus_two(graph: DualGraph, ids: Iterable[str]) -> bool:
@@ -270,6 +274,8 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
     boundary = bool(theta)
     ids = graph.ids
     n = len(ids)
+    if any(v.genus != 0 for v in graph.vertices):
+        return None  # the case list holds rational curves only
 
     if not boundary:
         if _all_minus_two(graph, ids):
@@ -352,11 +358,8 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
             vals = {v: HALF for v in order} if r == HALF else {}
             return "(2b)", "(2d)", vals
         return None
-    if total == 2 and all(w == 2 for w in ws):
-        ends = {order[0], order[-1]}
-        if all(contact.get(v, 0) == 0 for v in order if v not in ends):
-            if sum(contact.get(v, 0) for v in ends) == 2:
-                return "(2b)", "(2c)", {v: r for v in order}
+    if total == 2 and all(w == 2 for w in ws) and _segment_contacts(order, theta):
+        return "(2b)", "(2c)", {v: r for v in order}
     return None
 
 

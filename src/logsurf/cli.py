@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from . import mmp
 from .classify import classify_germ, classify_half, duval_type, eps_check
-from .documents import format_rational, model_from_dict, parse_rational, to_dot
+from .documents import format_rational, parse_document, parse_rational, to_dot
 from .errors import LogSurfError, NotApplicable, ParseError
 from .graph import LogSurfaceModel
 from .invariants import (
@@ -69,10 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(path: str) -> LogSurfaceModel:
-    fp = Path(path)
-    if not fp.exists():
-        raise ParseError(f"no such file: {path}")
-    return model_from_dict(json.loads(fp.read_text()))
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return parse_document(text)
 
 
 def _q(x: Fraction) -> str:
@@ -395,7 +400,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             }
         out = json.dumps(payload, indent=2) + "\n" if args.json else text.rstrip("\n") + "\n"
         if args.out:
-            Path(args.out).write_text(out)
+            try:
+                Path(args.out).write_text(out)
+            except OSError as exc:
+                raise LogSurfError(f"cannot write --out {args.out}: {exc.strerror}") from None
         else:
             sys.stdout.write(out)
         return 0

@@ -21,11 +21,14 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def parse_rational(text: Any, where: str = "") -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"{where or 'value'}: expected an exact rational 'p/q', got {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ParseError(f"{where or 'value'}: zero denominator in {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -33,41 +36,52 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    # bool is a subclass of int, but true/false are not integers here
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> LogSurfaceModel:
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
-    try:
-        raw_vertices = doc["vertices"]
-        raw_edges = doc.get("edges", [])
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}") from None
+    """Build a model from a graph document, rejecting every field of the wrong
+    type with a ParseError that names it."""
+    _typed(doc, dict, "document root")
+    if "vertices" not in doc:
+        raise ParseError("missing field 'vertices'")
     vertices = []
-    for i, rv in enumerate(raw_vertices):
+    for i, rv in enumerate(_typed(doc["vertices"], list, "vertices")):
         where = f"vertices[{i}]"
+        _typed(rv, dict, where)
         if "id" not in rv or "weight" not in rv:
             raise ParseError(f"{where}: needs 'id' and 'weight'")
-        if not isinstance(rv["weight"], int):
-            raise ParseError(f"{where}: weight must be an integer")
         vertices.append(
             Vertex(
                 id=str(rv["id"]),
-                weight=rv["weight"],
-                genus=int(rv.get("genus", 0)),
+                weight=_typed(rv["weight"], int, f"{where}.weight"),
+                genus=_typed(rv.get("genus", 0), int, f"{where}.genus"),
                 decoration=parse_rational(rv.get("decoration", 0), f"{where}.decoration"),
                 boundary=parse_rational(rv.get("boundary", 0), f"{where}.boundary"),
             )
         )
     edges = []
-    for i, re_ in enumerate(raw_edges):
+    for i, re_ in enumerate(_typed(doc.get("edges", []), list, "edges")):
         where = f"edges[{i}]"
+        _typed(re_, dict, where)
         if "a" not in re_ or "b" not in re_:
             raise ParseError(f"{where}: needs 'a' and 'b'")
-        edges.append(Edge(str(re_["a"]), str(re_["b"]), int(re_.get("m", 1))))
+        edges.append(Edge(str(re_["a"]), str(re_["b"]), _typed(re_.get("m", 1), int, f"{where}.m")))
+    contracted = _typed(doc.get("contracted", []), list, "contracted")
+    for i, c in enumerate(contracted):
+        _typed(c, str, f"contracted[{i}]")
     uniform = doc.get("uniform_r")
     r = parse_rational(uniform, "uniform_r") if uniform is not None else None
     try:
         graph = DualGraph(tuple(vertices), tuple(edges))
-        return LogSurfaceModel(graph, frozenset(str(c) for c in doc.get("contracted", [])), r)
+        return LogSurfaceModel(graph, frozenset(contracted), r)
     except LogSurfError:
         raise
     except Exception as exc:  # malformed in a way the graph layer reports

@@ -12,7 +12,7 @@ contracted curve trivially.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -178,22 +178,6 @@ class DualGraph:
         )
 
 
-def validate(graph: DualGraph) -> DualGraph:
-    """Re-run all construction invariants; returns the graph unchanged."""
-    DualGraph(graph.vertices, graph.edges)
-    return graph
-
-
-def intersect(model: "LogSurfaceModel", A: Mapping[str, Fraction], B: Mapping[str, Fraction]) -> Fraction:
-    """Intersection of the images of A and B on the contracted model."""
-    return model.intersect(A, B)
-
-
-def canonical_intersect(model: "LogSurfaceModel", A: Mapping[str, Fraction]) -> Fraction:
-    """A . K on the contracted model."""
-    return model.canonical_intersect(A)
-
-
 def branching_number(graph: DualGraph, T: Iterable[str], D: Optional[Iterable[str]] = None) -> int:
     """T . (D - T), the total edge multiplicity leaving T inside D.
 
@@ -254,8 +238,9 @@ class ShapeReport:
     superfluous: tuple[str, ...]
 
 
-def _chain_order(graph: DualGraph, comp: frozenset[str], dset: set[str]) -> Optional[tuple[str, ...]]:
-    """Order a connected component as a chain inside D; None when not a chain."""
+def _chain_order(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, ...]]:
+    """Order a connected vertex set as a chain, from its smaller end; None
+    when not a chain."""
     if len(comp) == 1:
         return (next(iter(comp)),)
     deg = {}
@@ -308,7 +293,7 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     for comp in comps:
         if comp in set(circular):
             continue
-        order = _chain_order(graph, comp, dset)
+        order = _chain_order(graph, comp)
         if order is not None and all(beta[v] <= 2 for v in comp):
             rods.append(order)
             chain_comps.add(comp)
@@ -350,7 +335,7 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     }
     seg_pool -= {v for r in rods for v in r}
     for comp in graph.connected_components(seg_pool):
-        order = _chain_order(graph, comp, dset)
+        order = _chain_order(graph, comp)
         if order is not None and not any(beta[v] <= 1 for v in comp):
             segments.append(order)
 
@@ -416,7 +401,7 @@ def _as_bench(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict
     core = comp - set(leaves)
     if not core:
         return None
-    order = _chain_order(graph, frozenset(core), dset)
+    order = _chain_order(graph, frozenset(core))
     if order is None:
         return None
     ends = {order[0], order[-1]}
@@ -619,10 +604,6 @@ class LogSurfaceModel:
             if v.id not in self.contracted and v.boundary > 0
         )
 
-    def is_uniform(self) -> bool:
-        coeffs = {self.coeff(v) for v in self.boundary_flagged}
-        return len(coeffs) <= 1
-
     @cached_property
     def r(self) -> Optional[Fraction]:
         if self.uniform_r is not None:
@@ -699,9 +680,6 @@ class LogSurfaceModel:
             for e, uc in self._k_correction.items():
                 total += c * uc * self.graph.mult(u, e)
         return total
-
-    def k_dot_vertex(self, vid: str) -> Fraction:
-        return self.canonical_intersect({vid: ONE})
 
     @cached_property
     def boundary_divisor(self) -> dict[str, Fraction]:

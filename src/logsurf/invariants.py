@@ -306,9 +306,6 @@ class CoefficientVector:
         """Log discrepancies ld = 1 - cf."""
         return {v: 1 - c for v, c in self.values.items()}
 
-    def max_value(self) -> Fraction:
-        return max(self.values.values(), default=ZERO)
-
 
 def coefficients_linear(model: LogSurfaceModel) -> CoefficientVector:
     """cf of every contracted vertex over the current model, by the linear
@@ -364,10 +361,6 @@ class GermGraph:
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:
         return dict(self.model.coefficients)
-
-    def k_of(self, vid: str) -> Fraction:
-        v = self.graph.vertex(vid)
-        return v.decoration + 2 * v.genus + v.weight - 2
 
     def u_of(self, vid: str) -> Fraction:
         v = self.graph.vertex(vid)

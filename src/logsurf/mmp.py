@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
-from .classify import EpsVerdict, eps_check
+from .classify import HALF, EpsVerdict, eps_check
 from .graph import (
     LogSurfaceModel,
     ONE,
     ZERO,
+    _chain_order,
     branching_number,
     contracts_to_smooth_point,
     find_shapes,
@@ -27,7 +28,10 @@ from .invariants import chain_data, discriminant, is_admissible_chain
 
 FIRST = "first"
 SECOND = "second"
-HALF = Fraction(1, 2)
+# the kinds of curve a run of each kind may contract
+_KINDS = {FIRST: (FIRST,), SECOND: (FIRST, SECOND)}
+# largest candidate pool enumerate_runs explores
+_ENUMERATION_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,6 @@ def curve_verdict(model: LogSurfaceModel, vid: str) -> CurveVerdict:
 def log_exceptional(model: LogSurfaceModel) -> list[CurveVerdict]:
     """Verdict for every non-contracted vertex on the current model."""
     return [curve_verdict(model, v) for v in sorted(model.noncontracted())]
-
-
-def _allowed(kind_wanted: str, kind_found: Optional[str]) -> bool:
-    # a run of the second kind may contract curves of either kind
-    if kind_found is None:
-        return False
-    return kind_found == FIRST or kind_wanted == SECOND
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +95,7 @@ class MMPRun:
         cur = self.start
         for step, after in zip(self.steps, self.models[1:]):
             v = curve_verdict(cur, step.vertex)
-            if not _allowed(kind, v.kind) or v.kind != step.kind:
+            if v.kind not in _KINDS[kind] or v.kind != step.kind:
                 return False
             if after.contracted != cur.contracted | {step.vertex}:
                 return False
@@ -106,24 +103,40 @@ class MMPRun:
         return True
 
 
-def _empty_run(model: LogSurfaceModel) -> MMPRun:
-    return MMPRun(model, (), (model,))
+def _step(
+    model: LogSurfaceModel, vid: str, kinds: Sequence[str], use_boundary: bool
+) -> Optional[Step]:
+    """The contraction of ``vid`` when its image is log exceptional (for K + D,
+    or for K alone without the boundary) of one of ``kinds``, else None.  The
+    pairing is tested first: the self-intersection costs a pullback solve."""
+    p = model.lk_pairing(vid) if use_boundary else model.canonical_intersect({vid: ONE})
+    kind = FIRST if p < 0 else SECOND if p == 0 else None
+    if kind not in kinds:
+        return None
+    s = model.self_int(vid)
+    return Step(vid, kind, p, s) if s < 0 else None
 
 
-def _extend(run: MMPRun, vid: str, pairing: Fraction, self_int: Fraction) -> MMPRun:
-    cur = run.final
-    kind = FIRST if pairing < 0 else SECOND
-    nxt = cur.contract(vid)
-    step = Step(vid, kind, pairing, self_int)
-    return MMPRun(run.start, run.steps + (step,), run.models + (nxt,))
-
-
-def _extend_lk(run: MMPRun, vid: str) -> MMPRun:
-    cur = run.final
-    v = curve_verdict(cur, vid)
-    if v.kind is None:
-        raise NotApplicable(f"{vid!r} is not log exceptional on the current model")
-    return _extend(run, vid, v.pairing, v.self_int)
+def _greedy(
+    start: LogSurfaceModel,
+    candidates: Callable[[LogSurfaceModel], Iterable[str]],
+    kinds: Sequence[str],
+    use_boundary: bool,
+) -> MMPRun:
+    """The run that contracts, on the running model, the first of its
+    candidates that ``_step`` admits, until none is admitted."""
+    steps: list[Step] = []
+    models = [start]
+    while True:
+        cur = models[-1]
+        step = next(
+            (s for s in (_step(cur, v, kinds, use_boundary) for v in candidates(cur)) if s),
+            None,
+        )
+        if step is None:
+            return MMPRun(start, tuple(steps), tuple(models))
+        steps.append(step)
+        models.append(cur.contract(step.vertex))
 
 
 def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-id") -> MMPRun:
@@ -131,17 +144,12 @@ def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-i
     until none is left.  ``boundary-first`` prefers boundary components."""
     if strategy not in ("lowest-id", "boundary-first"):
         raise NotApplicable(f"unknown strategy {strategy!r}")
-    run = _empty_run(model)
-    while True:
-        cur = run.final
-        cands = [v.vertex for v in log_exceptional(cur) if _allowed(kind, v.kind)]
-        if not cands:
-            return run
-        if strategy == "boundary-first":
-            flagged = set(cur.boundary_flagged)
-            in_bdry = [c for c in cands if c in flagged]
-            cands = in_bdry or cands
-        run = _extend_lk(run, cands[0])
+
+    def candidates(cur: LogSurfaceModel) -> list[str]:
+        first = set(cur.boundary_flagged) if strategy == "boundary-first" else set()
+        return sorted(cur.noncontracted(), key=lambda v: (v not in first, v))
+
+    return _greedy(model, candidates, _KINDS[kind], True)
 
 
 def relative_mmp(
@@ -161,19 +169,11 @@ def relative_mmp(
             raise UnknownVertex(f"{v!r} is already contracted")
     if not is_negative_definite(model.graph, model.contracted | target):
         raise NotNegativeDefinite("target set is not contractible")
-    run = _empty_run(model)
-    while True:
-        cur = run.final
-        pick = None
-        for v in sorted(target - cur.contracted):
-            p = cur.lk_pairing(v) if use_boundary else cur.canonical_intersect({v: ONE})
-            if p < 0 or (kind == SECOND and p == 0):
-                pick = (v, p)
-                break
-        if pick is None:
-            return run
-        v, p = pick
-        run = _extend(run, v, p, run.final.self_int(v))
+    # every curve of the target has negative self-intersection on every
+    # model of the run, since the whole target is contractible
+    return _greedy(
+        model, lambda cur: sorted(target - cur.contracted), _KINDS[kind], use_boundary
+    )
 
 
 def relative_k_mmp(model: LogSurfaceModel, over: Iterable[str]) -> MMPRun:
@@ -209,49 +209,40 @@ def is_partial_mmp_run(
 def enumerate_runs(
     model: LogSurfaceModel,
     kind: str = FIRST,
-    max_steps: Optional[int] = None,
     over: Optional[Iterable[str]] = None,
     use_boundary: bool = True,
-    guard: int = 8,
 ) -> list[MMPRun]:
     """All maximal runs under all elementary-contraction orders, one witness
     per distinct exceptional set.  Exponential; guarded by vertex count."""
     pool = frozenset(over) if over is not None else frozenset(model.noncontracted())
-    if len(pool) > guard:
-        raise TooLarge(f"{len(pool)} candidate vertices exceed the guard {guard}")
+    if len(pool) > _ENUMERATION_GUARD:
+        raise TooLarge(
+            f"{len(pool)} candidate vertices exceed the guard {_ENUMERATION_GUARD}"
+        )
     if over is not None and not is_negative_definite(model.graph, model.contracted | pool):
         raise NotNegativeDefinite("target set is not contractible")
+    kinds = _KINDS[kind]
     results: dict[frozenset[str], MMPRun] = {}
     seen: set[frozenset[str]] = set()
 
-    def rec(run: MMPRun) -> None:
-        cur = run.final
+    def rec(steps: tuple[Step, ...], models: tuple[LogSurfaceModel, ...]) -> None:
+        cur = models[-1]
         # distinct runs are distinguished by their exceptional sets: visiting
         # each contracted-set state once is enough to find all of them
         if cur.contracted in seen:
             return
         seen.add(cur.contracted)
-        if max_steps is not None and len(run.steps) >= max_steps:
-            results.setdefault(run.exceptional, run)
-            return
-        cands = []
-        for v in sorted(pool - cur.contracted):
-            if use_boundary:
-                verdict = curve_verdict(cur, v)
-                if _allowed(kind, verdict.kind):
-                    cands.append((v, verdict.pairing, verdict.self_int))
-            else:
-                p = cur.canonical_intersect({v: ONE})
-                s = cur.self_int(v)
-                if s < 0 and (p < 0 or (kind == SECOND and p == 0)):
-                    cands.append((v, p, s))
-        if not cands:
-            results.setdefault(run.exceptional, run)
-            return
-        for v, p, s in cands:
-            rec(_extend(run, v, p, s))
+        admitted = [
+            s
+            for s in (_step(cur, v, kinds, use_boundary) for v in sorted(pool - cur.contracted))
+            if s
+        ]
+        if not admitted:
+            results.setdefault(frozenset(s.vertex for s in steps), MMPRun(model, steps, models))
+        for s in admitted:
+            rec(steps + (s,), models + (cur.contract(s.vertex),))
 
-    rec(_empty_run(model))
+    rec((), (model,))
     return [results[k] for k in sorted(results, key=sorted)]
 
 
@@ -287,25 +278,25 @@ class PeelingData:
         return self.run.final
 
 
+def _peel_candidates(
+    model: LogSurfaceModel, pure: bool
+) -> Callable[[LogSurfaceModel], list[str]]:
+    """Candidates of a peeling of ``model``: its boundary components still
+    uncontracted on the running model, with K of ``model`` nonnegative on
+    each when purity is requested."""
+    flagged = sorted(
+        v
+        for v in model.boundary_flagged
+        if not pure or model.canonical_intersect({v: ONE}) >= 0
+    )
+    return lambda cur: [v for v in flagged if v not in cur.contracted]
+
+
 def peel(model: LogSurfaceModel, kind: str = FIRST, pure: bool = True) -> PeelingData:
     """Maximal (pure) partial peeling: greedily contract boundary components
     that are log exceptional of an allowed kind on the running model, with
     K of the starting model nonnegative on each when purity is requested."""
-    flagged = set(model.boundary_flagged)
-    run = _empty_run(model)
-    while True:
-        cur = run.final
-        pick = None
-        for v in sorted(flagged - cur.contracted):
-            if pure and model.canonical_intersect({v: ONE}) < 0:
-                continue
-            verdict = curve_verdict(cur, v)
-            if _allowed(kind, verdict.kind):
-                pick = v
-                break
-        if pick is None:
-            break
-        run = _extend_lk(run, pick)
+    run = _greedy(model, _peel_candidates(model, pure), _KINDS[kind], True)
     gamma, lam, delta, extra = _classify_peeled(model, run.exceptional)
     return PeelingData(run, pure, kind, gamma, lam, delta, extra)
 
@@ -420,8 +411,8 @@ def redundant(
     for v in sorted(set(model.boundary_flagged) - peeling.exceptional):
         if model.canonical_intersect({v: ONE}) >= 0:
             continue
-        verdict = curve_verdict(peeled, v)
-        if not _allowed(kind, verdict.kind):
+        verdict = _step(peeled, v, _KINDS[kind], True)
+        if verdict is None:
             continue
         self_kind = curve_verdict(model, v).kind
         comps = _met_components(model, peeling.exceptional, v)
@@ -485,13 +476,13 @@ def almost_log_exceptional(
     flagged = set(model.boundary_flagged)
     out = []
     for v in sorted(set(model.noncontracted()) - flagged - peeling.exceptional):
-        verdict = curve_verdict(peeled, v)
-        if not _allowed(kind, verdict.kind):
+        verdict = _step(peeled, v, _KINDS[kind], True)
+        if verdict is None:
             continue
         if verdict.kind == SECOND and model.canonical_intersect({v: ONE}) == 0:
             continue
         comps = _met_components(model, peeling.exceptional, v)
-        case = _ale_case(model, v, verdict, comps)
+        case = _ale_case(model, v, comps)
         case_half = (
             _ale_case_half(model, peeling, v, verdict) if model.r == HALF else None
         )
@@ -530,39 +521,12 @@ def _chain_shape(
 ) -> Optional[tuple[int, ...]]:
     """Weights of l + E read along the chain (None when not a chain), with
     the lexicographically smaller reading direction chosen."""
-    graph = model.graph
-    ids = ({vid} | set().union(*comps)) if comps else {vid}
-    sub = [v for v in graph.ids if v in ids]
-    beta_in = {u: sum(m for w, m in graph.adjacency[u].items() if w in ids) for u in sub}
-    if any(b > 2 for b in beta_in.values()):
+    # l meets every component of comps, so l + E is connected
+    order = _chain_order(model.graph, frozenset({vid}.union(*comps)))
+    if order is None:
         return None
-    if len(sub) == 1:
-        return (graph.vertex(sub[0]).weight,)
-    ends = [u for u in sub if beta_in[u] <= 1]
-    if len(ends) != 2:
-        return None
-    order = [min(ends)]
-    prev = None
-    while True:
-        nxts = [
-            w
-            for w in graph.adjacency[order[-1]]
-            if w in ids and w != prev and graph.adjacency[order[-1]][w] == 1
-        ]
-        if not nxts:
-            break
-        prev = order[-1]
-        order.append(nxts[0])
-    if len(order) != len(sub):
-        return None
-    ws = tuple(graph.vertex(u).weight for u in order)
+    ws = tuple(model.graph.vertex(u).weight for u in order)
     return min(ws, tuple(reversed(ws)))
-
-
-def _l_dot_D(model: LogSurfaceModel, vid: str) -> Fraction:
-    dset = set(model.boundary_flagged) - {vid}
-    total = sum((Fraction(model.graph.mult(vid, w)) for w in dset), ZERO)
-    return total + model.graph.vertex(vid).decoration
 
 
 def _l_dot_R(model: LogSurfaceModel, vid: str, e: frozenset[str]) -> Fraction:
@@ -609,6 +573,7 @@ def _redundant_case(
         and len(comps) == 1
         and all(graph.vertex(u).weight == 2 for u in e)
         and sum(graph.mult(vid, u) for u in e) == 1
+        and 0 < r
         and 0 <= l_dot_r - 1 / r <= Fraction(1, len(e) + 1)
     ):
         return "(5)"
@@ -637,7 +602,6 @@ def _redundant_case(
 def _ale_case(
     model: LogSurfaceModel,
     vid: str,
-    verdict: CurveVerdict,
     comps: tuple[frozenset[str], ...],
 ) -> str:
     graph = model.graph
@@ -645,7 +609,7 @@ def _ale_case(
     dset = set(model.boundary_flagged)
     e = set().union(*comps) if comps else set()
     shape = _chain_shape(model, vid, comps)
-    l_dot_d = _l_dot_D(model, vid)
+    l_dot_d = _l_dot_R(model, vid, frozenset())
     e_dot_r = _e_dot_R(model, vid, frozenset(e))
     self_kind = curve_verdict(model, vid).kind
     # r-specific families first; the generic superfluous / log exceptional
@@ -736,13 +700,13 @@ def _ale_case_half(
     model: LogSurfaceModel,
     peeling: PeelingData,
     vid: str,
-    verdict: CurveVerdict,
+    verdict: Step,
 ) -> Optional[str]:
     """Case tags of the almost log exceptional curve list at r = 1/2."""
     graph = model.graph
     dset = set(model.boundary_flagged)
     e = peeling.exceptional
-    a_dot_d = _l_dot_D(model, vid)
+    a_dot_d = _l_dot_R(model, vid, frozenset())
     a_dot_e = sum(graph.mult(vid, w) for w in e)
     gamma = set().union(*peeling.gamma) if peeling.gamma else set()
     lam = set().union(*peeling.lambda_) if peeling.lambda_ else set()
@@ -824,10 +788,6 @@ class AlmostMinDecomposition:
     def almost_minimal_model(self) -> LogSurfaceModel:
         return self.am.final
 
-    @property
-    def minimal_model(self) -> LogSurfaceModel:
-        return self.run.final
-
 
 def _eps_for(model: LogSurfaceModel) -> Optional[EpsVerdict]:
     r = model.r
@@ -845,61 +805,48 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     residual peeling to a maximal pure one.  When no such curve remains, the
     running model is almost minimal and alpha lands on a minimal model.
     """
-    am_run = _empty_run(model)
+    kinds = _KINDS[kind]
+    am_run = MMPRun(model, (), (model,))
     ladder: list[LadderRung] = []
-
-    def max_pure_peeling(cur: LogSurfaceModel, seed: frozenset[str]) -> frozenset[str]:
-        exc = set(seed)
-        while True:
-            probe = LogSurfaceModel(cur.graph, cur.contracted | exc, cur.uniform_r)
-            for v in sorted(set(cur.boundary_flagged) - exc):
-                if cur.canonical_intersect({v: ONE}) < 0:
-                    continue
-                if _allowed(kind, curve_verdict(probe, v).kind):
-                    exc.add(v)
-                    break
-            else:
-                return frozenset(exc)
-
-    alpha = max_pure_peeling(model, frozenset())
-    ladder.append(LadderRung(model, alpha, _eps_for(model)))
+    alpha: frozenset[str] = frozenset()
     while True:
         cur = am_run.final
-        peeled = LogSurfaceModel(cur.graph, cur.contracted | alpha, cur.uniform_r)
-        pick = None
-        for v in sorted(set(cur.noncontracted()) - alpha):
-            if cur.canonical_intersect({v: ONE}) >= 0:
-                continue
-            if _allowed(kind, curve_verdict(peeled, v).kind):
-                pick = v
-                break
+        # extend the residual peeling to a maximal pure one, purity measured
+        # on the running model
+        seeded = LogSurfaceModel(cur.graph, cur.contracted | alpha, cur.uniform_r)
+        peeling = _greedy(seeded, _peel_candidates(cur, pure=True), kinds, True)
+        alpha |= peeling.exceptional
+        peeled = peeling.final
+        ladder.append(LadderRung(cur, alpha, _eps_for(cur)))
+        pick = next(
+            (
+                v
+                for v in sorted(peeled.noncontracted())
+                if cur.canonical_intersect({v: ONE}) < 0 and _step(peeled, v, kinds, True)
+            ),
+            None,
+        )
         if pick is None:
             break
         sigma = relative_k_mmp(cur, alpha | {pick})
         am_run = MMPRun(model, am_run.steps + sigma.steps, am_run.models + sigma.models[1:])
-        remaining = (alpha | {pick}) - sigma.exceptional
-        alpha = max_pure_peeling(am_run.final, remaining)
-        ladder.append(LadderRung(am_run.final, alpha, _eps_for(am_run.final)))
+        alpha = (alpha | {pick}) - sigma.exceptional
 
     if kind == SECOND:
         # maximality of the run: K-trivial curves off the boundary whose
         # images are log exceptional of the second kind are contracted last;
         # these contractions are crepant and log crepant, so they leave the
         # almost minimal model untouched and extend the residual peeling
-        cur = am_run.final
-        while True:
-            peeled = LogSurfaceModel(cur.graph, cur.contracted | alpha, cur.uniform_r)
-            flagged = set(cur.boundary_flagged)
-            pick = None
-            for v in sorted(set(cur.noncontracted()) - alpha - flagged):
-                if cur.canonical_intersect({v: ONE}) != 0:
-                    continue
-                if curve_verdict(peeled, v).kind == SECOND:
-                    pick = v
-                    break
-            if pick is None:
-                break
-            alpha = alpha | {pick}
+        flagged = set(cur.boundary_flagged)
+        k_trivial = sorted(
+            v
+            for v in peeled.noncontracted()
+            if v not in flagged and cur.canonical_intersect({v: ONE}) == 0
+        )
+        sweep = _greedy(
+            peeled, lambda m: [v for v in k_trivial if v not in m.contracted], (SECOND,), True
+        )
+        alpha |= sweep.exceptional
 
     # one legal elementary-contraction order for the whole run psi
     total = (am_run.final.contracted - model.contracted) | alpha

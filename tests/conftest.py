@@ -73,6 +73,14 @@ def random_tree_graph(rng: random.Random, n: int, wmin=2, wmax=6, theta_max=0):
     return DualGraph(tuple(vs), tuple(es))
 
 
+def random_log_smooth_tree(rng: random.Random, n: int, r) -> LogSurfaceModel:
+    """A model with nothing contracted on a random tree of n curves, weights
+    1-4, each curve on the boundary with probability 1/2."""
+    g = random_tree_graph(rng, n, wmin=1, wmax=4)
+    vs = [Vertex(v.id, v.weight, boundary=F(1) if rng.random() < 0.5 else F(0)) for v in g.vertices]
+    return LogSurfaceModel(DualGraph(tuple(vs), g.edges), frozenset(), F(r))
+
+
 def random_negative_definite_tree(rng: random.Random, n: int, wmin=2, wmax=6, theta_max=0):
     while True:
         g = random_tree_graph(rng, n, wmin, wmax, theta_max)

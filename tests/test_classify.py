@@ -15,6 +15,7 @@ from logsurf import (
     alexeev_compare,
     classify_germ,
     classify_half,
+    coefficients_linear,
     duval_type,
     eps_check,
     is_negative_definite,
@@ -105,9 +106,11 @@ def test_classifier_agrees_with_coefficients_exhaustively():
     seen = 0
     for n in range(1, 5):
         for ws in itertools.product((2, 3, 4), repeat=n):
-            for theta_pos in (None, 0, n - 1, "both"):
+            for theta_pos in (None, 0, n - 1, "both", "end2"):
                 dec = {}
-                if theta_pos == "both":
+                if theta_pos == "end2":
+                    dec = {0: 2}
+                elif theta_pos == "both":
                     if n == 1:
                         dec = {0: 2}
                     else:
@@ -275,6 +278,27 @@ def test_half_closed_forms_equal_linear_solve():
             )
             lin = GermGraph(scaled).coefficients
             assert matched.coefficients == lin, (g, matched)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        chain_graph(2, 2, decorations={0: 2}),
+        DualGraph((Vertex("e", 3, genus=1),), ()),
+        DualGraph((Vertex("e", 4, genus=1),), ()),
+    ],
+    ids=["chain-2-2-contact-2-at-end", "elliptic-3", "elliptic-4"],
+)
+def test_germs_with_coefficient_at_least_one(graph):
+    # reference: the linear solve; neither germ is log terminal, so neither
+    # is on a cf <= 1/2 list, and the LC/NotLC tag follows the maximum
+    gm = germ(graph)
+    top = max(coefficients_linear(gm.model).values.values())
+    assert top >= 1
+    assert classify_germ(gm).tag.startswith("LC-" if top == 1 else "NotLC")
+    for strict in (True, False):
+        with pytest.raises(NotApplicable):
+            classify_half(gm, strict=strict)
 
 
 def test_half_2d_twig_formula_at_half_and_bound_below():

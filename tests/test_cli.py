@@ -119,6 +119,56 @@ def test_missing_file_is_domain_error(capsys):
     assert code == 2
 
 
+_TWO = [{"id": "a", "weight": 2}, {"id": "b", "weight": 2}]
+
+
+# each malformed input (a document, raw text or bytes, or None for an
+# unwritable --out) must end in exit 2 with a message naming the field
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"vertices": [', "JSON"),
+        ({"vertices": 3}, "vertices"),
+        ({"vertices": [3]}, "vertices[0]"),
+        ({"vertices": [{"id": "a", "weight": 2, "genus": "x"}]}, "vertices[0].genus"),
+        ({"vertices": _TWO, "edges": [{"a": "a", "b": "b", "m": "x"}]}, "edges[0].m"),
+        ({"vertices": [{"id": "a", "weight": 2, "boundary": "1/0"}]}, "vertices[0].boundary"),
+        ({"vertices": _TWO, "edges": 5}, "edges"),
+        ({"vertices": [{"id": "a", "weight": 2, "genus": 1.5}]}, "vertices[0].genus"),
+        ({"vertices": [{"id": "a", "weight": True}]}, "vertices[0].weight"),
+        ({"vertices": _TWO, "edges": [{"a": "a", "b": "b"}], "contracted": "ab"}, "contracted"),
+        (None, "--out"),
+        (b"\xff\xfe{}", "UTF-8"),
+    ],
+    ids=[
+        "invalid-json", "vertices-number", "vertex-not-object", "genus-text", "edge-m-text",
+        "boundary-1/0", "edges-number", "genus-1.5", "weight-true", "contracted-string",
+        "out-unwritable", "not-utf-8",
+    ],
+)
+def test_malformed_input_is_domain_error(capsys, tmp_path, doc, field):
+    out = tmp_path / "report.json"
+    if doc is None:
+        path, out = FIXDIR / "d4.json", tmp_path / "missing" / "report.json"
+    else:
+        path = tmp_path / "bad.json"
+        text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, _, err = run_cli(capsys, "coeffs", str(path), "--json", "--out", str(out))
+    assert code == 2
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "fixture", ["cuspidal_cubic", "log_terminality", "optimal_ass_2", "psi_am_order"]
+)
+def test_redundant_second_kind_at_r_zero(capsys, fixture):
+    code, _, err = run_cli(
+        capsys, "redundant", str(FIXDIR / f"{fixture}.json"), "--kind", "second", "--r", "0"
+    )
+    assert code == 0, err
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -25,13 +25,16 @@ from logsurf import (
     squeeze,
 )
 from logsurf.mmp import (
+    Step,
+    _step,
     ale_characterization,
     curve_verdict,
     is_log_smooth_output,
+    log_exceptional,
     peeling_from,
 )
 
-from conftest import chain_graph, fork_graph, model
+from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
 
 
 def with_r(m, r):
@@ -796,3 +799,60 @@ def test_genus_one_curve_never_contracted():
     assert run.exceptional == {"f"}
     v = curve_verdict(run.final, "e")
     assert v.kind is None
+
+
+# -- the run engine against the verdicts it replaces ------------------------------
+
+ALLOWED = {"first": ("first",), "second": ("first", "second")}
+
+
+def _seeded_trees(seed, count=30):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_log_smooth_tree(rng, rng.randint(4, 12), (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4])
+
+
+@pytest.mark.parametrize("strategy", ["lowest-id", "boundary-first"])
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_run_mmp_contracts_lowest_admissible_curve(kind, strategy):
+    # reference: the full log_exceptional scan of the model before each step
+    for m in _seeded_trees(8181):
+        run = run_mmp(m, kind=kind, strategy=strategy)
+        for step, before in zip(run.steps, run.models):
+            admissible = [v for v in log_exceptional(before) if v.kind in ALLOWED[kind]]
+            if strategy == "boundary-first":
+                flagged = set(before.boundary_flagged)
+                admissible = [v for v in admissible if v.vertex in flagged] or admissible
+            want = admissible[0]
+            assert step == Step(want.vertex, want.kind, want.pairing, want.self_int)
+        assert not [v for v in log_exceptional(run.final) if v.kind in ALLOWED[kind]]
+
+
+def test_step_agrees_with_curve_verdict():
+    checked = 0
+    for m in _seeded_trees(8282, count=15):
+        for cur in run_mmp(m, kind="second").models:
+            for v in cur.noncontracted():
+                verdict = curve_verdict(cur, v)
+                k_pairing = cur.canonical_intersect({v: F(1)})
+                k_kind = None
+                if verdict.self_int < 0:
+                    k_kind = "first" if k_pairing < 0 else "second" if k_pairing == 0 else None
+                for kinds in (("first",), ("second",), ("first", "second")):
+                    want = None
+                    if verdict.kind in kinds:
+                        want = Step(v, verdict.kind, verdict.pairing, verdict.self_int)
+                    assert _step(cur, v, kinds, True) == want
+                    want = None
+                    if k_kind in kinds:
+                        want = Step(v, k_kind, k_pairing, verdict.self_int)
+                    assert _step(cur, v, kinds, False) == want
+                checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_amm_first_rung_is_the_maximal_pure_peeling(kind):
+    for m in _seeded_trees(8383):
+        d = almost_minimalize(m, kind=kind)
+        assert d.ladder[0].peeling_exc == peel(m, kind=kind, pure=True).exceptional
