@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import NotApplicable, NotLogTerminal, NotMinimal
-from .graph import DualGraph, Fork, LogSurfaceModel, ZERO, find_shapes
+from .graph import DualGraph, Fork, LogSurfaceModel, ZERO, _as_fork, _chain_order, find_shapes
 from .invariants import (
     GermGraph,
     chain_data,
@@ -34,18 +34,11 @@ def _theta_contacts(germ: GermGraph) -> dict[str, Fraction]:
 
 
 def _is_chain_graph(graph: DualGraph) -> Optional[tuple[str, ...]]:
-    shapes = find_shapes(graph, graph.ids)
-    if len(shapes.rods) == 1 and len(graph.ids) == len(shapes.rods[0]):
-        return shapes.rods[0]
-    return None
+    return _chain_order(graph, frozenset(graph.ids))
 
 
 def _whole_fork(graph: DualGraph) -> Optional[Fork]:
-    shapes = find_shapes(graph, graph.ids)
-    for f in shapes.forks:
-        if 1 + sum(len(t) for t in f.twigs) == len(graph.ids):
-            return f
-    return None
+    return _as_fork(graph, frozenset(graph.ids))
 
 
 def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermClass:
@@ -75,12 +68,7 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
             return GermClass("LC-EllipticCurve", {"vertex": graph.ids[0]})
         if any(v.genus != 0 for v in graph.vertices):
             return GermClass("NotLC")
-        shapes = find_shapes(graph, graph.ids)
-        if shapes.circular:
-            # only a cycle filling the whole germ is on the log canonical list
-            if len(shapes.circular) == 1 and shapes.circular[0] == frozenset(graph.ids):
-                return GermClass("LC-Cycle", {"cycle": tuple(sorted(shapes.circular[0]))})
-            return GermClass("NotLC")
+        # a chain or a fork holds no cycle, so it needs no shape report
         order = _is_chain_graph(graph)
         if order is not None:
             return GermClass("LT-NoBoundary-Rod", {"chain": order})
@@ -91,6 +79,12 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
                 return GermClass("LT-NoBoundary-Fork", _fork_payload(graph, f, delta))
             if delta == 1 and not _all_minus_two(graph, graph.ids):
                 return GermClass("LC-Fork", _fork_payload(graph, f, delta))
+            return GermClass("NotLC")
+        shapes = find_shapes(graph, graph.ids)
+        if shapes.circular:
+            # only a cycle filling the whole germ is on the log canonical list
+            if len(shapes.circular) == 1 and shapes.circular[0] == frozenset(graph.ids):
+                return GermClass("LC-Cycle", {"cycle": tuple(sorted(shapes.circular[0]))})
             return GermClass("NotLC")
         for b in shapes.benches:
             if len(b.central_chain) + 4 == len(graph.ids):

@@ -46,21 +46,34 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     return value
 
 
+_ROOT_KEYS = ("name", "reference", "uniform_r", "vertices", "edges", "contracted")
+_VERTEX_KEYS = ("id", "weight", "genus", "decoration", "boundary")
+_EDGE_KEYS = ("a", "b", "m")
+
+
+def _object(value: Any, keys: tuple[str, ...], where: str) -> dict:
+    _typed(value, dict, where)
+    for key in value:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown field {key!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> LogSurfaceModel:
-    """Build a model from a graph document, rejecting every field of the wrong
-    type with a ParseError that names it."""
-    _typed(doc, dict, "document root")
+    """Build a model from a graph document, rejecting every unknown field and
+    every field of the wrong type with a ParseError that names it."""
+    _object(doc, _ROOT_KEYS, "document root")
     if "vertices" not in doc:
         raise ParseError("missing field 'vertices'")
     vertices = []
     for i, rv in enumerate(_typed(doc["vertices"], list, "vertices")):
         where = f"vertices[{i}]"
-        _typed(rv, dict, where)
+        _object(rv, _VERTEX_KEYS, where)
         if "id" not in rv or "weight" not in rv:
             raise ParseError(f"{where}: needs 'id' and 'weight'")
         vertices.append(
             Vertex(
-                id=str(rv["id"]),
+                id=_typed(rv["id"], str, f"{where}.id"),
                 weight=_typed(rv["weight"], int, f"{where}.weight"),
                 genus=_typed(rv.get("genus", 0), int, f"{where}.genus"),
                 decoration=parse_rational(rv.get("decoration", 0), f"{where}.decoration"),
@@ -70,10 +83,16 @@ def model_from_dict(doc: dict) -> LogSurfaceModel:
     edges = []
     for i, re_ in enumerate(_typed(doc.get("edges", []), list, "edges")):
         where = f"edges[{i}]"
-        _typed(re_, dict, where)
+        _object(re_, _EDGE_KEYS, where)
         if "a" not in re_ or "b" not in re_:
             raise ParseError(f"{where}: needs 'a' and 'b'")
-        edges.append(Edge(str(re_["a"]), str(re_["b"]), _typed(re_.get("m", 1), int, f"{where}.m")))
+        edges.append(
+            Edge(
+                _typed(re_["a"], str, f"{where}.a"),
+                _typed(re_["b"], str, f"{where}.b"),
+                _typed(re_.get("m", 1), int, f"{where}.m"),
+            )
+        )
     contracted = _typed(doc.get("contracted", []), list, "contracted")
     for i, c in enumerate(contracted):
         _typed(c, str, f"contracted[{i}]")

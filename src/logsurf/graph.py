@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     CoeffOutOfRange,
@@ -33,6 +33,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _check_types(owner: str, ids: Mapping[str, object], ints: Mapping[str, object]) -> None:
+    # bool is a subclass of int, but true/false are not integers here
+    for name, value in ids.items():
+        if not isinstance(value, str):
+            raise ValidationError(f"{owner}: {name} must be a string, got {value!r}")
+    for name, value in ints.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{owner}: {name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A curve: weight = -E^2, decoration = germ-mode contact with unseen
@@ -45,6 +55,9 @@ class Vertex:
     boundary: Fraction = ZERO
 
     def __post_init__(self) -> None:
+        _check_types(
+            f"vertex {self.id!r}", {"id": self.id}, {"weight": self.weight, "genus": self.genus}
+        )
         object.__setattr__(self, "decoration", Fraction(self.decoration))
         object.__setattr__(self, "boundary", Fraction(self.boundary))
         if not (0 <= self.boundary <= 1):
@@ -64,6 +77,7 @@ class Edge:
     mult: int = 1
 
     def __post_init__(self) -> None:
+        _check_types(f"edge {self.a!r}-{self.b!r}", {"a": self.a, "b": self.b}, {"mult": self.mult})
         if self.a == self.b:
             raise SelfLoop(f"self-loop at {self.a!r} (snc model has none)")
         if self.mult < 1:
@@ -238,29 +252,32 @@ class ShapeReport:
     superfluous: tuple[str, ...]
 
 
+def _walk(
+    graph: DualGraph, start: str, prev: Optional[str], within: set[str] | frozenset[str]
+) -> Iterator[str]:
+    """Yield the path leaving ``start`` away from ``prev`` inside ``within``
+    (``start`` itself not included): each step goes to the single remaining
+    neighbour in ``within``, and only when it is met in one point.  ``prev``
+    must lie outside ``within`` (or be None), so the walk cannot circle."""
+    cur = start
+    while True:
+        nxts = [w for w in graph.adjacency[cur] if w in within and w != prev]
+        if len(nxts) != 1 or graph.adjacency[cur][nxts[0]] != 1:
+            return
+        prev, cur = cur, nxts[0]
+        yield cur
+
+
 def _chain_order(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, ...]]:
     """Order a connected vertex set as a chain, from its smaller end; None
     when not a chain."""
-    if len(comp) == 1:
-        return (next(iter(comp)),)
-    deg = {}
-    for v in comp:
-        within = sum(m for w, m in graph.adjacency[v].items() if w in comp)
-        if within > 2:
-            return None
-        deg[v] = within
-    ends = sorted(v for v in comp if deg[v] == 1)
-    if len(ends) != 2:
-        return None  # circular
-    order = [ends[0]]
-    prev = None
-    while True:
-        nxts = [w for w in graph.adjacency[order[-1]] if w in comp and w != prev and graph.adjacency[order[-1]][w] == 1]
-        if not nxts:
-            break
-        prev = order[-1]
-        order.append(nxts[0])
-    return tuple(order) if len(order) == len(comp) else None
+    ends = sorted(
+        v for v in comp if sum(m for w, m in graph.adjacency[v].items() if w in comp) <= 1
+    )
+    if not ends:
+        return None
+    order = (ends[0], *_walk(graph, ends[0], None, comp))
+    return order if len(order) == len(comp) else None
 
 
 def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
@@ -298,7 +315,7 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
             rods.append(order)
             chain_comps.add(comp)
             continue
-        fk = _as_fork(graph, comp, dset, beta)
+        fk = _as_fork(graph, comp)
         if fk is not None:
             forks.append(fk)
         bench = _as_bench(graph, comp, dset, beta)
@@ -311,21 +328,10 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
         comp = next(c for c in comps if tip in c)
         if comp in chain_comps or comp in set(circular):
             continue
-        walk = [tip]
-        prev = None
-        while True:
-            cur = walk[-1]
-            nxts = [
-                w
-                for w in graph.adjacency[cur]
-                if w in dset and w != prev and graph.adjacency[cur][w] == 1
-            ]
-            if len(nxts) != 1 or beta[nxts[0]] > 2:
-                break
-            prev = cur
-            walk.append(nxts[0])
-        maximal_twigs.append(tuple(walk))
-        twig_vertices.update(walk)
+        steps = itertools.takewhile(lambda v: beta[v] <= 2, _walk(graph, tip, None, dset))
+        twig = (tip, *steps)
+        maximal_twigs.append(twig)
+        twig_vertices.update(twig)
 
     segments: list[tuple[str, ...]] = []
     seg_pool = {
@@ -363,31 +369,23 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     )
 
 
-def _as_fork(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict[str, int]) -> Optional[Fork]:
-    if any(graph.adjacency[u].get(w, 0) > 1 for u in comp for w in comp):
-        return None
-    branch = [v for v in comp if sum(1 for w in graph.adjacency[v] if w in comp) >= 3]
+def _as_fork(graph: DualGraph, comp: frozenset[str]) -> Optional[Fork]:
+    """Read a vertex set as a fork: one branch vertex met once by each of
+    three disjoint chains that make up the rest of the set."""
+    deg = {v: sum(m for w, m in graph.adjacency[v].items() if w in comp) for v in comp}
+    branch = [v for v in comp if deg[v] >= 3]
     if len(branch) != 1:
         return None
     center = branch[0]
-    if beta[center] != 3 or sum(1 for w in graph.adjacency[center] if w in comp) != 3:
+    starts = sorted(w for w in graph.adjacency[center] if w in comp)
+    # three neighbours and degree 3: the center is met once by each arm
+    if deg[center] != 3 or len(starts) != 3:
         return None
-    twigs = []
-    for start in sorted(w for w in graph.adjacency[center] if w in comp):
-        walk = [start]
-        prev = center
-        while True:
-            nxts = [w for w in graph.adjacency[walk[-1]] if w in comp and w != prev]
-            if not nxts:
-                break
-            if len(nxts) > 1:
-                return None
-            prev = walk[-1]
-            walk.append(nxts[0])
-        twigs.append(tuple(reversed(walk)))  # tip first
+    rest = comp - {center}
+    twigs = tuple(tuple(reversed((s, *_walk(graph, s, center, rest)))) for s in starts)
     if sum(len(t) for t in twigs) + 1 != len(comp):
         return None
-    return Fork(center=center, twigs=tuple(twigs))
+    return Fork(center=center, twigs=twigs)
 
 
 def _as_bench(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict[str, int]) -> Optional[Bench]:
@@ -434,22 +432,18 @@ def _half_benches(graph: DualGraph, dset: set[str], beta: dict[str, int]):
         n2 = [w for w in graph.adjacency[u2] if w in dset]
         if n1 != n2 or len(n1) != 1:
             continue
-        chain = [n1[0]]
-        while True:
+        walk = _walk(graph, n1[0], None, dset - {u1, u2})
+        chain: list[str] = []
+        for c in itertools.chain(n1, itertools.takewhile(lambda v: beta[v] <= 2, walk)):
+            chain.append(c)
             # record the prefix when all its external contact sits at the far end
             t = set(chain) | {u1, u2}
             ext = branching_number(graph, t, dset)
-            ext_at_end = branching_number(graph, [chain[-1]], dset - (t - {chain[-1]}))
+            ext_at_end = branching_number(graph, [c], dset - (t - {c}))
             if ext == 1 and ext_at_end == 1:
                 out.append(HalfBench(central_chain=tuple(chain), feet=(u1, u2)))
-            nxts = [
-                w
-                for w in graph.adjacency[chain[-1]]
-                if w in dset and w not in t and graph.adjacency[chain[-1]][w] == 1
-            ]
-            if ext != ext_at_end or len(nxts) != 1 or beta[nxts[0]] > 2:
+            if ext != ext_at_end:
                 break
-            chain.append(nxts[0])
     return out
 
 

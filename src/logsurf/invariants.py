@@ -9,7 +9,7 @@ the two are cross-checked by the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -32,7 +32,6 @@ from .graph import (
     ONE,
     branching_number,
     find_shapes,
-    is_negative_definite,
 )
 from .linalg import bareiss_det
 
@@ -349,14 +348,15 @@ class GermGraph:
     """
 
     graph: DualGraph
+    model: LogSurfaceModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_negative_definite(self.graph, self.graph.ids):
-            raise NotNegativeDefinite("a resolution graph must be negative definite")
-
-    @cached_property
-    def model(self) -> LogSurfaceModel:
-        return LogSurfaceModel(self.graph, frozenset(self.graph.ids))
+        # the model checks negative definiteness when it is built
+        try:
+            model = LogSurfaceModel(self.graph, frozenset(self.graph.ids))
+        except NotNegativeDefinite:
+            raise NotNegativeDefinite("a resolution graph must be negative definite") from None
+        object.__setattr__(self, "model", model)
 
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:

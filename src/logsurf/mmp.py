@@ -18,6 +18,7 @@ from .graph import (
     LogSurfaceModel,
     ONE,
     ZERO,
+    _as_fork,
     _chain_order,
     branching_number,
     contracts_to_smooth_point,
@@ -312,25 +313,18 @@ def _classify_peeled(
     if r is None or r > HALF:
         return (), (), (), comps
     dset = set(model.boundary_flagged)
-    shapes = find_shapes(graph, dset)
-    rods = {frozenset(t) for t in shapes.rods}
-    fork_sets = {
-        frozenset({f.center} | {v for t in f.twigs for v in t}) for f in shapes.forks
-    }
     gamma, lam, delta, extra = [], [], [], []
     for comp in comps:
         ws = sorted(graph.vertex(v).weight for v in comp)
         all_two = all(w == 2 for w in ws)
-        is_chain = all(
-            sum(m for w, m in graph.adjacency[v].items() if w in comp) <= 2 for v in comp
-        ) and discriminant(graph, comp) == len(comp) + 1 if all_two else False
-        if comp in rods and all_two:
+        is_chain = _chain_order(graph, comp) is not None
+        # comp lies in D, so it is a rod or fork of D only as a whole component
+        beta = branching_number(graph, comp, dset)
+        if beta == 0 and all_two and (is_chain or _as_fork(graph, comp) is not None):
             gamma.append(comp)
-        elif comp in fork_sets and all_two:
-            gamma.append(comp)
-        elif comp in rods and ws.count(2) == len(ws) - 1 and ws[-1] == 3:
+        elif beta == 0 and is_chain and ws.count(2) == len(ws) - 1 and ws[-1] == 3:
             lam.append(comp)
-        elif all_two and is_chain and branching_number(graph, comp, dset) == 1:
+        elif all_two and is_chain and beta == 1:
             # a maximal (-2)-twig of D - Gamma - Lambda
             delta.append(comp)
         else:
@@ -731,8 +725,9 @@ def _ale_case_half(
             touched = [u for u in e if graph.mult(vid, u) > 0]
             if len(touched) == 1 and touched[0] in gamma and rod_end(touched[0], peeling.gamma):
                 comp = next(c for c in peeling.gamma if touched[0] in c)
-                shapes = find_shapes(graph, dset)
-                if any(frozenset(t) == comp for t in shapes.rods):
+                # a rod: a whole component of D that is a chain
+                whole = branching_number(graph, comp, dset) == 0
+                if whole and _chain_order(graph, comp) is not None:
                     return "(5)"
         return None
     if a_dot_d <= 1:

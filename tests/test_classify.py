@@ -386,8 +386,23 @@ def test_minus_two_bench_is_not_a_germ():
     vs = list(bench.vertices) + [Vertex("u1", 2), Vertex("u2", 2)]
     es = list(bench.edges) + [Edge("c", "u1"), Edge("c", "u2")]
     g = DualGraph(tuple(vs), tuple(es))
-    with pytest.raises(NotNegativeDefinite):
+    with pytest.raises(NotNegativeDefinite, match="resolution graph must be negative definite"):
         GermGraph(g)
+
+
+def test_germ_checks_negative_definiteness_once(monkeypatch):
+    import logsurf.graph
+    import logsurf.invariants
+
+    calls = []
+    check = logsurf.graph.is_negative_definite
+    for module in (logsurf.graph, logsurf.invariants):
+        monkeypatch.setattr(
+            module, "is_negative_definite", lambda *a: calls.append(a) or check(*a), raising=False
+        )
+    g = germ(fork_graph(3, (2,), (2,), (2, 2)))
+    assert g.coefficients and g.model.coefficients == g.coefficients
+    assert len(calls) == 1
 
 
 def test_weight_lowering_shrinks_discriminant():
@@ -432,3 +447,43 @@ def test_decorated_fork_classifier_agrees_with_coefficients():
                     assert mx == 1, (b, tw, spot, tag, mx)
                 else:
                     assert mx > 1, (b, tw, spot, tag, mx)
+
+
+# -- direct chain and fork questions ---------------------------------------------
+
+
+def _random_shape_graph(rng, n):
+    """A random tree on n curves in shuffled id order, sometimes with one more
+    edge (a cycle or a double edge), a double edge, or an elliptic curve."""
+    ids = [f"u{i}" for i in range(n)]
+    rng.shuffle(ids)
+    vs = tuple(
+        Vertex(v, rng.choice((1, 2, 2, 2, 3, 4)), genus=int(rng.random() < 0.06)) for v in ids
+    )
+    mult = {}
+    for i in range(1, n):
+        mult[tuple(sorted((ids[rng.randrange(i)], ids[i])))] = 1
+    if n >= 2 and rng.random() < 0.3:
+        pair = tuple(sorted(rng.sample(ids, 2)))
+        mult[pair] = mult.get(pair, 0) + 1
+    if n >= 2 and rng.random() < 0.1:
+        mult[tuple(sorted(rng.sample(ids, 2)))] = 2
+    return DualGraph(vs, tuple(Edge(a, b, m) for (a, b), m in mult.items()))
+
+
+def test_direct_chain_and_fork_questions_match_find_shapes():
+    from logsurf.classify import _is_chain_graph, _whole_fork
+    from logsurf.graph import find_shapes
+
+    rng = random.Random(20241)
+    seen = {"chain": 0, "fork": 0}
+    for _ in range(2000):
+        g = _random_shape_graph(rng, rng.randint(1, 9))
+        shapes = find_shapes(g, g.ids)
+        rods = [t for t in shapes.rods if len(t) == len(g.ids)]
+        forks = [f for f in shapes.forks if 1 + sum(len(t) for t in f.twigs) == len(g.ids)]
+        assert _is_chain_graph(g) == (rods[0] if rods else None), g
+        assert _whole_fork(g) == (forks[0] if forks else None), g
+        seen["chain"] += bool(rods)
+        seen["fork"] += bool(forks)
+    assert min(seen.values()) > 200, seen

@@ -139,11 +139,17 @@ _TWO = [{"id": "a", "weight": 2}, {"id": "b", "weight": 2}]
         ({"vertices": _TWO, "edges": [{"a": "a", "b": "b"}], "contracted": "ab"}, "contracted"),
         (None, "--out"),
         (b"\xff\xfe{}", "UTF-8"),
+        ({"vertices": [{"id": "a", "weight": 2, "genes": 1}]}, "'genes'"),
+        ({"vertices": _TWO, "name": "x", "uniform": "1/2"}, "'uniform'"),
+        ({"vertices": _TWO, "edges": [{"a": "a", "b": "b", "mult": 2}]}, "'mult'"),
+        ({"vertices": [{"id": 1, "weight": 2}]}, "vertices[0].id"),
+        ({"vertices": _TWO, "edges": [{"a": "a", "b": 1}]}, "edges[0].b"),
     ],
     ids=[
         "invalid-json", "vertices-number", "vertex-not-object", "genus-text", "edge-m-text",
         "boundary-1/0", "edges-number", "genus-1.5", "weight-true", "contracted-string",
-        "out-unwritable", "not-utf-8",
+        "out-unwritable", "not-utf-8", "vertex-unknown-field", "root-unknown-field",
+        "edge-unknown-field", "id-number", "edge-end-number",
     ],
 )
 def test_malformed_input_is_domain_error(capsys, tmp_path, doc, field):

@@ -12,6 +12,7 @@ from logsurf import (
     Edge,
     NotNegativeDefinite,
     SelfLoop,
+    ValidationError,
     Vertex,
     blow_up,
     branching_number,
@@ -50,6 +51,25 @@ def test_self_loop():
 def test_coeff_out_of_range():
     with pytest.raises(CoeffOutOfRange):
         Vertex("a", 2, boundary=F(3, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Vertex("a", 5 / 2),
+        lambda: Vertex("a", True),
+        lambda: Vertex("a", 2, genus=1.0),
+        lambda: Vertex(1, 2),
+        lambda: Edge("a", "b", 2.0),
+        lambda: Edge("a", "b", True),
+        lambda: Edge("a", 1),
+    ],
+    ids=["weight-float", "weight-bool", "genus-float", "id-int", "mult-float", "mult-bool", "end-int"],
+)
+def test_non_integer_or_non_string_field_rejected(build):
+    # a float weight would reach the solver truncated but K.E untruncated
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_contracted_must_be_negative_definite():
