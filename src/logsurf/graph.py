@@ -7,6 +7,12 @@ block must be negative definite), which represents a possibly singular
 surface via its smooth model.  All intersection numbers on the singular
 model are computed through the unique rational pullback that meets every
 contracted curve trivially.
+
+-Q restricted to the contracted block is block-diagonal over its connected
+components (the singular points), so each component is factored once, by
+``linalg.factor_definite``, and the factorization is cached on its
+``DualGraph``: a contraction refactors only the component it changes, and
+every solve runs component by component from the cached exact inverse.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -27,20 +34,33 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .linalg import leading_minors, solve_int
+from .linalg import factor_definite
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# a connected vertex set in sorted order, d = det(-Q|set) and the integer
+# adjugate, so that (-Q|set)^-1 = adj / d
+Factor = tuple[tuple[str, ...], int, list[list[int]]]
 
-def _check_types(owner: str, ids: Mapping[str, object], ints: Mapping[str, object]) -> None:
-    # bool is a subclass of int, but true/false are not integers here
+
+def _check_types(
+    owner: str,
+    ids: Mapping[str, object],
+    ints: Mapping[str, object],
+    rationals: Mapping[str, object],
+) -> None:
+    # bool is a subclass of int, but true/false are not integers here; a
+    # float would become its binary fraction, not the number meant
     for name, value in ids.items():
         if not isinstance(value, str):
             raise ValidationError(f"{owner}: {name} must be a string, got {value!r}")
     for name, value in ints.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"{owner}: {name} must be an integer, got {value!r}")
+    for name, value in rationals.items():
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise ValidationError(f"{owner}: {name} must be an integer or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +76,10 @@ class Vertex:
 
     def __post_init__(self) -> None:
         _check_types(
-            f"vertex {self.id!r}", {"id": self.id}, {"weight": self.weight, "genus": self.genus}
+            f"vertex {self.id!r}",
+            {"id": self.id},
+            {"weight": self.weight, "genus": self.genus},
+            {"decoration": self.decoration, "boundary": self.boundary},
         )
         object.__setattr__(self, "decoration", Fraction(self.decoration))
         object.__setattr__(self, "boundary", Fraction(self.boundary))
@@ -77,7 +100,9 @@ class Edge:
     mult: int = 1
 
     def __post_init__(self) -> None:
-        _check_types(f"edge {self.a!r}-{self.b!r}", {"a": self.a, "b": self.b}, {"mult": self.mult})
+        _check_types(
+            f"edge {self.a!r}-{self.b!r}", {"a": self.a, "b": self.b}, {"mult": self.mult}, {}
+        )
         if self.a == self.b:
             raise SelfLoop(f"self-loop at {self.a!r} (snc model has none)")
         if self.mult < 1:
@@ -167,6 +192,19 @@ class DualGraph:
         ids = list(order)
         return [[-self.mult(u, v) for v in ids] for u in ids]
 
+    @cached_property
+    def _factors(self) -> dict[frozenset[str], Optional[Factor]]:
+        return {}
+
+    def factor(self, comp: frozenset[str]) -> Optional[Factor]:
+        """The factorization of -Q on the connected vertex set ``comp``; None
+        when -Q|comp is not positive definite.  Computed once per set."""
+        if comp not in self._factors:
+            order = tuple(sorted(comp))
+            f = factor_definite(self.neg_q(order))
+            self._factors[comp] = None if f is None else (order, *f)
+        return self._factors[comp]
+
     def connected_components(self, within: Iterable[str]) -> list[frozenset[str]]:
         pool = set(within)
         comps: list[frozenset[str]] = []
@@ -210,11 +248,12 @@ def branching_number(graph: DualGraph, T: Iterable[str], D: Optional[Iterable[st
 
 
 def is_negative_definite(graph: DualGraph, S: Iterable[str]) -> bool:
-    """Sylvester's criterion on -Q restricted to S (any fixed order works)."""
-    ids = sorted(set(S))
+    """Sylvester's criterion on -Q restricted to S, one connected component
+    at a time (-Q|S is block-diagonal over them)."""
+    ids = set(S)
     for vid in ids:
         graph.vertex(vid)
-    return all(m > 0 for m in leading_minors(graph.neg_q(ids)))
+    return all(graph.factor(comp) is not None for comp in graph.connected_components(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +319,19 @@ def _chain_order(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, 
     return order if len(order) == len(comp) else None
 
 
+def _maximal_twig(
+    graph: DualGraph, tip: str, dset: set[str], beta: Mapping[str, int]
+) -> Optional[tuple[str, ...]]:
+    """The maximal twig of D from its tip ``tip``: the chain walk cut at the
+    first vertex with beta > 2.  None when the walk ends at a second tip:
+    then it covers the whole component of D, a rod.  (A component that is
+    all cycles has no tip, so no twig starts in one.)"""
+    walk = (tip, *_walk(graph, tip, None, dset))
+    if beta[walk[-1]] <= 1:
+        return None
+    return (tip, *itertools.takewhile(lambda v: beta[v] <= 2, walk[1:]))
+
+
 def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     """Shape taxonomy of the reduced subdivisor spanned by D."""
     dset = set(D)
@@ -293,7 +345,6 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     circular: list[frozenset[str]] = []
     forks: list[Fork] = []
     benches: list[Bench] = []
-    chain_comps: set[frozenset[str]] = set()
     # circular subgraphs: strip vertices of internal degree <= 1 repeatedly;
     # whatever survives is a union of cycles (possibly deep inside a component)
     core = set(dset)
@@ -313,7 +364,6 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
         order = _chain_order(graph, comp)
         if order is not None and all(beta[v] <= 2 for v in comp):
             rods.append(order)
-            chain_comps.add(comp)
             continue
         fk = _as_fork(graph, comp)
         if fk is not None:
@@ -325,13 +375,10 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     maximal_twigs: list[tuple[str, ...]] = []
     twig_vertices: set[str] = set()
     for tip in tips:
-        comp = next(c for c in comps if tip in c)
-        if comp in chain_comps or comp in set(circular):
-            continue
-        steps = itertools.takewhile(lambda v: beta[v] <= 2, _walk(graph, tip, None, dset))
-        twig = (tip, *steps)
-        maximal_twigs.append(twig)
-        twig_vertices.update(twig)
+        twig = _maximal_twig(graph, tip, dset, beta)
+        if twig is not None:
+            maximal_twigs.append(twig)
+            twig_vertices.update(twig)
 
     segments: list[tuple[str, ...]] = []
     seg_pool = {
@@ -620,32 +667,49 @@ class LogSurfaceModel:
     # -- exact intersection theory on the contracted model ----------------
 
     @cached_property
-    def _neg_q(self) -> list[list[int]]:
-        return self.graph.neg_q(self.contracted_order)
+    def _blocks(self) -> tuple[Factor, ...]:
+        # every component factors: checked by is_negative_definite at construction
+        return tuple(self.graph.factor(c) for c in self.graph.connected_components(self.contracted))
 
-    def _solve(self, rhs: list[Fraction]) -> list[Fraction]:
-        try:
-            return solve_int(self._neg_q, rhs)
-        except ValueError as exc:  # pragma: no cover - guarded at construction
-            raise NotNegativeDefinite(str(exc)) from exc
+    def _solve(self, rhs: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """x on the contracted block with (-Q) x = rhs, solved on the
+        components that rhs meets; x is 0 on the others."""
+        out: dict[str, Fraction] = {}
+        for order, d, adj in self._blocks:
+            idx = [(i, rhs[e]) for i, e in enumerate(order) if rhs.get(e)]
+            if not idx:
+                continue
+            scale = lcm(*(c.denominator for _, c in idx))
+            acc = [0] * len(order)
+            for i, c in idx:
+                b = c.numerator * (scale // c.denominator)
+                for k, a in enumerate(adj[i]):  # adj is symmetric
+                    acc[k] += a * b
+            den = d * scale
+            out.update((e, Fraction(v, den)) for e, v in zip(order, acc))
+        return out
 
-    def _contact(self, A: Mapping[str, Fraction]) -> list[Fraction]:
-        return [
-            sum((c * self.graph.mult(u, e) for u, c in A.items()), ZERO)
-            for e in self.contracted_order
-        ]
+    def _contact(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """A . E for the contracted curves E that A meets."""
+        contact: dict[str, Fraction] = {}
+        for u, c in A.items():
+            for e, m in self.graph.adjacency[u].items():
+                if e in self.contracted:
+                    contact[e] = contact.get(e, ZERO) + c * m
+        return contact
 
     def pullback(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Mumford pullback: A plus the correction supported on the contracted
         set that kills all intersections with contracted curves."""
         for u in A:
+            self.graph.vertex(u)
             if u in self.contracted:
                 raise UnknownVertex(f"{u!r} is contracted; pull back its image instead")
         corr = self._solve(self._contact(A))
         out = {u: Fraction(c) for u, c in A.items() if c != 0}
-        for e, c in zip(self.contracted_order, corr):
-            if c != 0:
-                out[e] = c
+        for e in sorted(corr):
+            if corr[e] != 0:
+                out[e] = corr[e]
         return out
 
     def intersect(self, A: Mapping[str, Fraction], B: Mapping[str, Fraction]) -> Fraction:
@@ -659,9 +723,8 @@ class LogSurfaceModel:
     def _k_correction(self) -> dict[str, Fraction]:
         # pullback of the image of K: K + sum u_i E_i with (K + sum)/E_j = 0,
         # i.e. sum_i u_i (-E_i.E_j) = K.E_j
-        rhs = [Fraction(self.graph.k_dot(e)) for e in self.contracted_order]
-        sol = self._solve(rhs)
-        return dict(zip(self.contracted_order, sol))
+        sol = self._solve({e: Fraction(self.graph.k_dot(e)) for e in self.contracted_order})
+        return {e: sol.get(e, ZERO) for e in self.contracted_order}
 
     def canonical_intersect(self, A: Mapping[str, Fraction]) -> Fraction:
         """A . K on the contracted model (K from adjunction plus Mumford
@@ -671,8 +734,8 @@ class LogSurfaceModel:
             if u in self.contracted:
                 raise UnknownVertex(f"{u!r} is contracted")
             total += c * self.graph.k_dot(u)
-            for e, uc in self._k_correction.items():
-                total += c * uc * self.graph.mult(u, e)
+        for e, x in self._contact(A).items():
+            total += x * self._k_correction[e]
         return total
 
     @cached_property
@@ -683,13 +746,11 @@ class LogSurfaceModel:
     def coefficients(self) -> dict[str, Fraction]:
         """cf(E; current model) for every contracted vertex E: the unique
         solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j."""
-        rhs = []
+        rhs = self._contact(self.boundary_divisor)
         for e in self.contracted_order:
-            k = Fraction(self.graph.k_dot(e)) + self.graph.vertex(e).decoration
-            for b, c in self.boundary_divisor.items():
-                k += c * self.graph.mult(b, e)
-            rhs.append(k)
-        return dict(zip(self.contracted_order, self._solve(rhs)))
+            rhs[e] = rhs.get(e, ZERO) + self.graph.k_dot(e) + self.graph.vertex(e).decoration
+        sol = self._solve(rhs)
+        return {e: sol.get(e, ZERO) for e in self.contracted_order}
 
     def lk_pairing(self, vid: str) -> Fraction:
         """image(v) . (K + D) on the contracted model.  Decorations count as
@@ -697,9 +758,12 @@ class LogSurfaceModel:
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
         v = self.graph.vertex(vid)
+        bd, cf = self.boundary_divisor, self.coefficients
         total = Fraction(self.graph.k_dot(vid)) + v.decoration
-        for b, c in self.boundary_divisor.items():
-            total += c * self.graph.mult(vid, b)
-        for e, c in self.coefficients.items():
-            total += c * self.graph.mult(vid, e)
+        if vid in bd:
+            total -= bd[vid] * v.weight
+        for w, m in self.graph.adjacency[vid].items():
+            c = bd.get(w) or cf.get(w)
+            if c:
+                total += c * m
         return total

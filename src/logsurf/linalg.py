@@ -3,12 +3,18 @@
 Determinants use fraction-free (Bareiss) elimination over the integers.
 Linear solves clear denominators first, eliminate fraction-free, then
 back-substitute over the rationals, so no floating point ever enters.
+``factor_definite`` is the one factorization the model layer uses: a single
+fraction-free pass over ``[M | I]`` whose pivots are the leading minors of
+M (Bareiss 1968), so it tests positive definiteness and, when M passes,
+yields the exact inverse as an integer adjugate over the determinant.
+``solve_int`` and ``leading_minors`` stay as independent oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Optional
 
 
 def bareiss_det(m: list[list[int]]) -> int:
@@ -77,3 +83,36 @@ def solve_int(m: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
             s -= a[i][j] * x[j]
         x[i] = s / a[i][i]
     return [xi / scale for xi in x]
+
+
+def factor_definite(m: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
+    """(d, adj) with d = det(m) and m^-1 = adj / d for a positive definite
+    symmetric integer matrix m; None when m is not positive definite.
+
+    One Bareiss pass over [m | I] without row swaps: the k-th pivot is the
+    k-th leading minor, so the pass stops at the first pivot <= 0.  The
+    back-substitution works on d * x, an integer by Cramer's rule, so each
+    division in it is exact.
+    """
+    n = len(m)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return None
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, 2 * n):
+                row_i[j] = (row_i[j] * p - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = p
+    d = prev
+    x = [[0] * n for _ in range(n)]  # x[i][c] = d * (m^-1)[i][c]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        for c in range(n):
+            s = d * row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))
+            x[i][c] = s // row[i]
+    return d, x

@@ -20,9 +20,9 @@ from .graph import (
     ZERO,
     _as_fork,
     _chain_order,
+    _maximal_twig,
     branching_number,
     contracts_to_smooth_point,
-    find_shapes,
     is_negative_definite,
 )
 from .invariants import chain_data, discriminant, is_admissible_chain
@@ -436,13 +436,15 @@ def _twig_inequality(
         return None
     graph = model.graph
     dset = set(model.boundary_flagged)
-    shapes = find_shapes(graph, dset)
+    beta = {v: branching_number(graph, [v], dset) for v in dset}
     delta = ZERO
     ind_t = ZERO
     for comp in comps:
+        # the component must open the maximal twig of D from one of its tips
         order = None
-        for t in shapes.maximal_twigs:
-            if comp <= set(t) and frozenset(t[: len(comp)]) == comp:
+        for tip in sorted(v for v in comp & dset if beta[v] <= 1):
+            t = _maximal_twig(graph, tip, dset, beta)
+            if t is not None and frozenset(t[: len(comp)]) == comp:
                 order = t[: len(comp)]
                 break
         if order is None or not is_admissible_chain(graph, order):

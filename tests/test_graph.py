@@ -63,13 +63,31 @@ def test_coeff_out_of_range():
         lambda: Edge("a", "b", 2.0),
         lambda: Edge("a", "b", True),
         lambda: Edge("a", 1),
+        lambda: Vertex("a", 2, boundary=0.1),
+        lambda: Vertex("a", 2, boundary=True),
+        lambda: Vertex("a", 2, decoration=0.5),
+        lambda: Vertex("a", 2, decoration=False),
+        lambda: Vertex("a", 2, boundary="1/2"),
     ],
-    ids=["weight-float", "weight-bool", "genus-float", "id-int", "mult-float", "mult-bool", "end-int"],
+    ids=[
+        "weight-float", "weight-bool", "genus-float", "id-int", "mult-float", "mult-bool",
+        "end-int", "boundary-float", "boundary-bool", "decoration-float", "decoration-bool",
+        "boundary-str",
+    ],
 )
 def test_non_integer_or_non_string_field_rejected(build):
     # a float weight would reach the solver truncated but K.E untruncated
     with pytest.raises(ValidationError):
         build()
+
+
+def test_rational_fields_take_int_or_fraction():
+    v = Vertex("a", 2, decoration=1, boundary=F(1, 3))
+    assert (v.decoration, v.boundary) == (F(1), F(1, 3))
+    assert type(v.decoration) is F
+    # 0.1 would have been 3602879701896397/36028797018963968
+    with pytest.raises(ValidationError, match="boundary must be an integer or a Fraction"):
+        Vertex("a", 2, boundary=0.1)
 
 
 def test_contracted_must_be_negative_definite():

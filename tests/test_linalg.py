@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsurf.linalg import bareiss_det, leading_minors, solve_int
+from logsurf.linalg import bareiss_det, factor_definite, leading_minors, solve_int
 
 
 def naive_det(m):
@@ -48,3 +48,35 @@ def test_solve_singular_raises():
 def test_leading_minors():
     m = [[2, -1], [-1, 2]]
     assert leading_minors(m) == [2, 3]
+
+
+def test_factor_definite_is_the_minors_test_and_the_inverse():
+    # symmetric integer matrices, about a third of them positive definite;
+    # the others have a zero or negative leading minor somewhere
+    rng = random.Random(5)
+    seen = {"definite": 0, "zero minor": 0, "negative minor": 0}
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m = [[a[i][j] + a[j][i] + (rng.randint(0, 9) if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        minors = leading_minors(m)
+        f = factor_definite(m)
+        assert (f is None) == any(x <= 0 for x in minors)
+        if f is None:
+            seen["zero minor" if 0 in minors else "negative minor"] += 1
+            continue
+        seen["definite"] += 1
+        d, adj = f
+        assert d == bareiss_det(m)
+        for c in range(n):
+            unit = [Fraction(int(i == c)) for i in range(n)]
+            assert [Fraction(adj[i][c], d) for i in range(n)] == solve_int(m, unit)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_factor_definite_small_cases():
+    assert factor_definite([]) == (1, [])
+    assert factor_definite([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+    assert factor_definite([[0, 1], [1, 2]]) is None  # zero first pivot, no row swap
+    assert factor_definite([[1, 2], [2, 1]]) is None  # negative second minor

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): answers that must not depend on how the
-vertices are named."""
+vertices are named, the intersection theory of a model against a whole-block
+``solve_int`` oracle, and the coefficients across a blow-up."""
 
 from fractions import Fraction as F
 
@@ -8,8 +9,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from logsurf import DualGraph, Edge, GermGraph, LogSurfError, Vertex, is_negative_definite
+from logsurf import (
+    DualGraph,
+    Edge,
+    GermGraph,
+    LogSurfaceModel,
+    LogSurfError,
+    Vertex,
+    blow_up,
+    is_negative_definite,
+)
 from logsurf.classify import classify_germ, classify_half, duval_type
+from logsurf.linalg import leading_minors, solve_int
 
 
 @st.composite
@@ -69,3 +80,110 @@ def _answers(g):
 def test_relabelling_leaves_classification_unchanged(pair):
     g, relabelled = pair
     assert _answers(g) == _answers(relabelled)
+
+
+# ---------------------------------------------------------------------------
+# intersection theory against one solve over the whole contracted block
+
+
+@st.composite
+def graphs_with_contracted_sets(draw):
+    """A graph of 2-9 curves (a tree with up to three more edges, so cycles
+    and double edges occur; decorations, boundary flags and coefficients,
+    elliptic curves), a random vertex set and a uniform coefficient or None."""
+    n = draw(st.integers(2, 9))
+    weights = draw(st.lists(st.sampled_from((1, 2, 2, 2, 3, 3, 4, 5)), min_size=n, max_size=n))
+    genera = draw(st.lists(st.sampled_from((0,) * 7 + (1,)), min_size=n, max_size=n))
+    decorations = draw(st.lists(st.sampled_from((0, 0, 0, 1, F(1, 2))), min_size=n, max_size=n))
+    boundary = draw(st.lists(st.sampled_from((0, 0, 1, F(1, 3))), min_size=n, max_size=n))
+    mult = {(draw(st.integers(0, i - 1)), i): 1 for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        mult[a, b] = mult.get((a, b), 0) + 1
+    g = DualGraph(
+        tuple(Vertex(f"v{i}", weights[i], genera[i], F(decorations[i]), F(boundary[i]))
+              for i in range(n)),
+        tuple(Edge(f"v{a}", f"v{b}", m) for (a, b), m in mult.items()),
+    )
+    S = frozenset(f"v{i}" for i in range(n) if draw(st.integers(0, 2)))
+    r = draw(st.sampled_from((None, F(1, 2), F(1, 3), F(1))))
+    return g, S, r
+
+
+def _mult(g, u, v):
+    if u == v:
+        return -g.by_id[u].weight
+    return g.adjacency[u].get(v, 0)
+
+
+def _whole_block(g, order):
+    return [[-_mult(g, u, v) for v in order] for u in order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_with_contracted_sets())
+def test_negative_definiteness_is_sylvester_on_the_whole_block(case):
+    g, S, _ = case
+    order = sorted(S)
+    assert is_negative_definite(g, S) == all(x > 0 for x in leading_minors(_whole_block(g, order)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_with_contracted_sets())
+def test_model_answers_equal_a_whole_block_solve(case):
+    g, S, r = case
+    order = sorted(S)
+    m = _whole_block(g, order)
+    assume(all(x > 0 for x in leading_minors(m)))
+    model = LogSurfaceModel(g, S, r)
+
+    def solve(rhs):
+        return dict(zip(order, solve_int(m, rhs)))
+
+    def k_dot(v):
+        vert = g.by_id[v]
+        return 2 * vert.genus - 2 + vert.weight
+
+    bd = {v: model.coeff(v) for v in g.ids if v not in S and model.coeff(v) > 0}
+    cf = solve([k_dot(e) + g.by_id[e].decoration
+                + sum((c * _mult(g, b, e) for b, c in bd.items()), F(0)) for e in order])
+    assert model.coefficients == cf
+    k_corr = solve([F(k_dot(e)) for e in order])
+    rest = [v for v in g.ids if v not in S]
+    for v in rest:
+        x = solve([F(_mult(g, v, e)) for e in order])
+        assert model.pullback({v: F(1)}) == {v: 1, **{e: c for e, c in x.items() if c}}
+        assert model.self_int(v) == -g.by_id[v].weight + sum(c * _mult(g, v, e) for e, c in x.items())
+        k = k_dot(v) + sum(c * _mult(g, v, e) for e, c in k_corr.items())
+        assert model.canonical_intersect({v: F(1)}) == k
+        lk = (k_dot(v) + g.by_id[v].decoration + sum(c * _mult(g, v, b) for b, c in bd.items())
+              + sum(c * _mult(g, v, e) for e, c in cf.items()))
+        assert model.lk_pairing(v) == lk
+    # a divisor over several curves at once
+    A = {v: F(i + 1, 2) for i, v in enumerate(rest)}
+    contact = [sum((c * _mult(g, u, e) for u, c in A.items()), F(0)) for e in order]
+    x = solve(contact)
+    assert model.pullback(A) == {**A, **{e: c for e, c in x.items() if c}}
+
+
+# ---------------------------------------------------------------------------
+# blow-ups
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_with_contracted_sets(), st.data())
+def test_blowing_up_a_contracted_point_keeps_the_coefficients(case, data):
+    """Blow up the point E_a . E_b with E_a contracted and contract the new
+    curve x too: the old coefficients stay, and cf(x) = c_a + c_b - 1, where
+    c_b is the coefficient of E_b in the boundary when E_b is not contracted
+    (log discrepancies add: 1 - cf(x) = (1 - c_a) + (1 - c_b))."""
+    g, S, r = case
+    assume(is_negative_definite(g, S))
+    sites = sorted((a, b) for a in S for b in g.adjacency[a])
+    assume(sites)
+    a, b = data.draw(st.sampled_from(sites))
+    before = LogSurfaceModel(g, S, r)
+    blown = blow_up(g, ("edge", a, b), "x")
+    after = LogSurfaceModel(blown, S | {"x"}, r)
+    c_b = before.coefficients[b] if b in S else before.coeff(b)
+    assert after.coefficients == {**before.coefficients, "x": before.coefficients[a] + c_b - 1}
