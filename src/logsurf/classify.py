@@ -217,14 +217,16 @@ def is_du_val_germ(germ: GermGraph) -> bool:
 # epsilon-lc / epsilon-dlt
 
 
-@dataclass(frozen=True)
+# The field set and order are the `eps` report format of the CLI, checked by
+# schema/report.schema.json; keyword-only so a reorder cannot swap arguments.
+@dataclass(frozen=True, kw_only=True)
 class EpsVerdict:
     eps: Fraction
     is_lc: bool
     is_dlt: bool
+    tcf: Fraction
     witness: str
     witness_cf: Fraction
-    tcf: Fraction
     exact: bool  # False when the eps = 0 supremum may exceed the reported tcf
 
 
@@ -246,7 +248,10 @@ def eps_check(model: LogSurfaceModel, eps: Fraction) -> EpsVerdict:
     else:
         witness, witness_cf = "", ZERO
     exact = not (eps == 0 and tc.may_underreport_at_eps0)
-    return EpsVerdict(eps, is_lc, is_dlt, witness, witness_cf, tc.value, exact)
+    return EpsVerdict(
+        eps=eps, is_lc=is_lc, is_dlt=is_dlt, tcf=tc.value,
+        witness=witness, witness_cf=witness_cf, exact=exact,
+    )
 
 
 # ---------------------------------------------------------------------------

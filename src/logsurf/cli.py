@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import mmp
 from .classify import classify_germ, classify_half, duval_type, eps_check
 from .documents import format_rational, parse_document, parse_rational, to_dot
-from .errors import LogSurfError, NotApplicable, ParseError
+from .errors import CoeffOutOfRange, LogSurfError, NotApplicable, ParseError
 from .graph import LogSurfaceModel
 from .invariants import (
     GermGraph,
@@ -27,22 +28,6 @@ from .invariants import (
     discriminant,
     germ_of,
     total_coefficient,
-)
-
-COMMANDS = (
-    "analyze",
-    "discriminant",
-    "bark",
-    "coeffs",
-    "classify",
-    "peel",
-    "squeeze",
-    "redundant",
-    "ale",
-    "mmp",
-    "amm",
-    "enumerate-runs",
-    "dot",
 )
 
 
@@ -80,324 +65,292 @@ def _load_model(path: str) -> LogSurfaceModel:
     return parse_document(text)
 
 
-def _q(x: Fraction) -> str:
-    return format_rational(x)
+def _json(x: Any) -> Any:
+    """The report form of a library value: rationals as "p/q" strings, sets
+    as sorted lists, dataclasses as objects in field order."""
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, (set, frozenset)):
+        return [_json(v) for v in sorted(x)]
+    if isinstance(x, (tuple, list)):
+        return [_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _json(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
-def _qmap(d: dict[str, Fraction]) -> dict[str, str]:
-    return {k: _q(v) for k, v in sorted(d.items())}
+# command name -> (function (model, args) -> (result, text), whether the
+# report echoes the options); the order is the order of COMMANDS
+_TABLE: dict[str, tuple[Callable, bool]] = {}
 
 
-def _verdicts(vs) -> list[dict[str, Any]]:
-    return [
-        {"vertex": v.vertex, "self_int": _q(v.self_int), "pairing": _q(v.pairing), "kind": v.kind}
-        for v in vs
+def _command(name: str, options: bool = True) -> Callable:
+    def register(fn: Callable) -> Callable:
+        _TABLE[name] = (fn, options)
+        return fn
+
+    return register
+
+
+@_command("analyze")
+def _analyze(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    if args.eps is None:
+        eps = 1 - model.r if model.r is not None else Fraction(0)
+    else:
+        eps = parse_rational(args.eps, "--eps")
+        if not 0 <= eps <= 1:
+            raise CoeffOutOfRange(f"--eps: {format_rational(eps)} not in [0,1]")
+    result = _json({
+        "vertices": len(model.graph.ids),
+        "contracted": model.contracted,
+        "negative_definite_contracted": True,
+        "boundary": dict(sorted(model.boundary_divisor.items())),
+        "discriminant": discriminant(model.graph, model.graph.ids),
+        "components": model.graph.connected_components(model.graph.ids),
+        "total_coefficient": total_coefficient(model).value,
+        "eps_verdict": eps_check(model, eps),
+        "log_exceptional": [v for v in mmp.log_exceptional(model) if v.kind is not None],
+    })
+    ev = result["eps_verdict"]
+    lines = [
+        f"vertices: {result['vertices']}, contracted: {result['contracted']}",
+        f"boundary: {result['boundary']}",
+        f"discriminant of the full graph: {result['discriminant']}",
+        f"total coefficient: {result['total_coefficient']}",
+        f"eps = {ev['eps']}: lc = {ev['is_lc']}, dlt = {ev['is_dlt']}"
+        f" (witness {ev['witness']}: {ev['witness_cf']})",
+        "log exceptional: "
+        + (", ".join(f"{v['vertex']}({v['kind']})" for v in result["log_exceptional"]) or "none"),
     ]
+    return result, "\n".join(lines)
 
 
-def _steps(run: mmp.MMPRun) -> list[dict[str, Any]]:
-    return [
-        {"vertex": s.vertex, "kind": s.kind, "pairing": _q(s.pairing), "self_int": _q(s.self_int)}
-        for s in run.steps
-    ]
-
-
-def _eps_payload(v) -> dict[str, Any]:
-    return {
-        "eps": _q(v.eps),
-        "is_lc": v.is_lc,
-        "is_dlt": v.is_dlt,
-        "tcf": _q(v.tcf),
-        "witness": v.witness,
-        "witness_cf": _q(v.witness_cf),
-        "exact": v.exact,
+@_command("discriminant")
+def _discriminant(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    comps = model.graph.connected_components(model.graph.ids)
+    result = {
+        "all": discriminant(model.graph, model.graph.ids),
+        "contracted": discriminant(model.graph, model.contracted),
+        "components": {"+".join(sorted(c)): discriminant(model.graph, c) for c in comps},
     }
+    lines = [f"d(whole graph) = {result['all']}", f"d(contracted) = {result['contracted']}"]
+    lines += [f"d({k}) = {v}" for k, v in result["components"].items()]
+    return result, "\n".join(lines)
 
 
-def _peeling_payload(p: mmp.PeelingData) -> dict[str, Any]:
-    return {
+@_command("bark")
+def _bark(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    peeling = mmp.peel(model, kind=args.kind, pure=True)
+    bd = bark_D(model.graph, model.boundary_flagged, peeling.exceptional)
+    result = _json({
+        "exceptional": peeling.exceptional,
+        "bark": dict(sorted(bd.coefficients.items())),
+        "fork_factor": bd.fork_factor,
+    })
+    text = "\n".join(f"Bk[{k}] = {v}" for k, v in result["bark"].items()) or "empty bark"
+    return result, text
+
+
+@_command("coeffs")
+def _coeffs(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    cv = coefficients_linear(model)
+    result = _json({"cf": dict(sorted(cv.values.items())), "ld": dict(sorted(cv.complement.items()))})
+    text = "\n".join(
+        f"cf({k}) = {result['cf'][k]}   ld = {result['ld'][k]}" for k in result["cf"]
+    ) or "nothing contracted"
+    return result, text
+
+
+@_command("classify")
+def _classify(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    # with a contracted set, classify each singular point (connected
+    # component of the contracted block); otherwise read the whole graph as
+    # one germ
+    if model.contracted:
+        germs = {
+            "+".join(sorted(comp)): germ_of(model, comp)
+            for comp in model.graph.connected_components(model.contracted)
+        }
+    else:
+        germs = {"all": GermGraph(model.graph)}
+    result: dict[str, Any] = {"germs": {}}
+    for name, germ in germs.items():
+        entry: dict[str, Any] = {"duval": duval_type(germ.graph)}
+        try:
+            entry["tag"] = classify_germ(germ).tag
+        except LogSurfError as exc:
+            entry["tag"] = None
+            entry["note"] = str(exc)
+        for strict, key in ((True, "half_strict"), (False, "half_equal")):
+            try:
+                hc = classify_half(germ, strict=strict)
+                entry[key] = _json(
+                    {"tag": hc.tag, "formula": hc.formula, "cf": dict(sorted(hc.coefficients.items()))}
+                )
+            except NotApplicable:
+                entry[key] = None
+        result["germs"][name] = entry
+    text = "\n".join(
+        f"{name}: germ class {e['tag']}, du Val type {e['duval']}"
+        for name, e in result["germs"].items()
+    )
+    return result, text
+
+
+@_command("peel")
+def _peel(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    p = mmp.peel(model, kind=args.kind, pure=True)
+    cf = p.model.coefficients
+    result = _json({
         "kind": p.kind,
         "pure": p.pure,
-        "exceptional": sorted(p.exceptional),
-        "steps": _steps(p.run),
-        "gamma": [sorted(c) for c in p.gamma],
-        "lambda": [sorted(c) for c in p.lambda_],
-        "delta": [sorted(c) for c in p.delta],
-        "extra": [sorted(c) for c in p.extra],
+        "exceptional": p.exceptional,
+        "steps": p.run.steps,
+        "gamma": p.gamma,
+        "lambda": p.lambda_,
+        "delta": p.delta,
+        "extra": p.extra,
+        "coefficients": {v: cf[v] for v in sorted(cf) if v in p.exceptional},
+    })
+    text = (
+        f"peeled ({args.kind} kind): {result['exceptional']}\n"
+        f"gamma={result['gamma']} lambda={result['lambda']} delta={result['delta']}"
+        f" extra={result['extra']}\n"
+        + "\n".join(f"cf({k}) = {v}" for k, v in result["coefficients"].items())
+    )
+    return result, text
+
+
+@_command("squeeze")
+def _squeeze(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    run = mmp.squeeze(model, kind=args.kind)
+    result = _json({"steps": run.steps, "contracted": run.exceptional})
+    text = "squeezing contracts: " + (", ".join(result["contracted"]) or "nothing")
+    return result, text
+
+
+@_command("redundant")
+def _redundant(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    result = _json({"redundant": mmp.redundant(model, kind=args.kind)})
+    text = "\n".join(
+        f"{v['vertex']}: case {v['case']}, image kind {v['kind']}" for v in result["redundant"]
+    ) or "no redundant curves"
+    return result, text
+
+
+@_command("ale")
+def _ale(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    result = _json({"almost_log_exceptional": mmp.almost_log_exceptional(model, kind=args.kind)})
+    text = "\n".join(
+        f"{v['vertex']}: case {v['case']}"
+        + (f" / half-case {v['case_half']}" if v["case_half"] else "")
+        + f", kind {v['kind']}"
+        for v in result["almost_log_exceptional"]
+    ) or "no almost log exceptional curves"
+    return result, text
+
+
+@_command("mmp")
+def _mmp(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    run = mmp.run_mmp(model, kind=args.kind, strategy=args.strategy)
+    result = _json({
+        "steps": run.steps,
+        "final_contracted": run.final_contracted,
+        "remaining_vertices": len(run.final.noncontracted()),
+    })
+    text = (
+        "\n".join(
+            f"contract {s['vertex']} ({s['kind']}; pairing {s['pairing']})"
+            for s in result["steps"]
+        )
+        or "already minimal"
+    ) + f"\nfinal contracted: {result['final_contracted']}"
+    return result, text
+
+
+@_command("amm")
+def _amm(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    decomp = mmp.almost_minimalize(model, kind=args.kind)
+    final = decomp.almost_minimal_model
+    result = {
+        "am_steps": decomp.am.steps,
+        "run_steps": decomp.run.steps,
+        "min_exceptional": decomp.min_exceptional,
+        "almost_minimal_contracted": final.contracted,
+        "ladder": [
+            {"contracted": r.model.contracted, "peeling": r.peeling_exc, "eps_verdict": r.verdict}
+            for r in decomp.ladder
+        ],
+        "intermediate_eps": [
+            eps_check(m, 1 - m.r) if m.r is not None else None for m in decomp.am.models
+        ],
     }
+    if final.r is not None:
+        result["final_eps"] = eps_check(final, 1 - final.r)
+    result = _json(result)
+    lines = [
+        "almost minimalization contracts: "
+        + (", ".join(s["vertex"] for s in result["am_steps"]) or "nothing"),
+        f"residual peeling: {result['min_exceptional']}",
+    ]
+    if "final_eps" in result:
+        v = result["final_eps"]
+        lines.append(
+            f"almost minimal model is {'' if v['is_lc'] else 'not '}(1-r)-lc"
+            f" (witness {v['witness']}: cf = {v['witness_cf']}); dlt: {v['is_dlt']}"
+        )
+    return result, "\n".join(lines)
+
+
+@_command("enumerate-runs")
+def _enumerate_runs(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    runs = mmp.enumerate_runs(model, kind=args.kind)
+    result = _json({
+        "count": len(runs),
+        "runs": [{"exceptional": r.exceptional, "steps": r.steps} for r in runs],
+    })
+    text = f"{len(runs)} maximal run(s):\n" + "\n".join(
+        "  " + "+".join(r["exceptional"]) for r in result["runs"]
+    )
+    return result, text
+
+
+@_command("dot", options=False)
+def _dot(model: LogSurfaceModel, args) -> tuple[dict, str]:
+    output = to_dot(model, name=Path(args.model).stem)
+    return {"dot": output}, output
+
+
+COMMANDS = tuple(_TABLE)
+
+
+_PARSER = build_parser()
 
 
 def run_command(command: str, model: LogSurfaceModel, args) -> tuple[dict[str, Any], str]:
     """Execute a command; return (json payload, human-readable text)."""
-    kind = args.kind
-    if command == "analyze":
-        eps = parse_rational(args.eps, "--eps") if args.eps else (
-            1 - model.r if model.r is not None else Fraction(0)
-        )
-        tc = total_coefficient(model)
-        verdict = eps_check(model, eps)
-        result = {
-            "vertices": len(model.graph.ids),
-            "contracted": sorted(model.contracted),
-            "negative_definite_contracted": True,
-            "boundary": _qmap(model.boundary_divisor),
-            "discriminant": discriminant(model.graph, model.graph.ids),
-            "components": [sorted(c) for c in model.graph.connected_components(model.graph.ids)],
-            "total_coefficient": _q(tc.value),
-            "eps_verdict": _eps_payload(verdict),
-            "log_exceptional": _verdicts(
-                [v for v in mmp.log_exceptional(model) if v.kind is not None]
-            ),
-        }
-        lines = [
-            f"vertices: {result['vertices']}, contracted: {result['contracted']}",
-            f"boundary: {result['boundary']}",
-            f"discriminant of the full graph: {result['discriminant']}",
-            f"total coefficient: {result['total_coefficient']}",
-            f"eps = {_q(eps)}: lc = {verdict.is_lc}, dlt = {verdict.is_dlt}"
-            f" (witness {verdict.witness}: {_q(verdict.witness_cf)})",
-            "log exceptional: "
-            + (
-                ", ".join(f"{v['vertex']}({v['kind']})" for v in result["log_exceptional"])
-                or "none"
-            ),
-        ]
-        return result, "\n".join(lines)
-
-    if command == "discriminant":
-        comps = model.graph.connected_components(model.graph.ids)
-        result = {
-            "all": discriminant(model.graph, model.graph.ids),
-            "contracted": discriminant(model.graph, model.contracted),
-            "components": {
-                "+".join(sorted(c)): discriminant(model.graph, c) for c in comps
-            },
-        }
-        lines = [f"d(whole graph) = {result['all']}", f"d(contracted) = {result['contracted']}"]
-        lines += [f"d({k}) = {v}" for k, v in result["components"].items()]
-        return result, "\n".join(lines)
-
-    if command == "bark":
-        peeling = mmp.peel(model, kind=kind, pure=True)
-        bd = bark_D(model.graph, model.boundary_flagged, peeling.exceptional)
-        result = {
-            "exceptional": sorted(peeling.exceptional),
-            "bark": _qmap(bd.coefficients),
-            "fork_factor": _q(bd.fork_factor) if bd.fork_factor is not None else None,
-        }
-        text = "\n".join(f"Bk[{k}] = {v}" for k, v in result["bark"].items()) or "empty bark"
-        return result, text
-
-    if command == "coeffs":
-        cv = coefficients_linear(model)
-        result = {"cf": _qmap(cv.values), "ld": _qmap(cv.complement)}
-        text = "\n".join(
-            f"cf({k}) = {result['cf'][k]}   ld = {result['ld'][k]}" for k in result["cf"]
-        ) or "nothing contracted"
-        return result, text
-
-    if command == "classify":
-        # with a contracted set, classify each singular point (connected
-        # component of the contracted block); otherwise read the whole graph
-        # as one germ
-        germs = []
-        if model.contracted:
-            for comp in model.graph.connected_components(model.contracted):
-                germs.append(("+".join(sorted(comp)), germ_of(model, comp)))
-        else:
-            germs.append(("all", GermGraph(model.graph)))
-        payload: dict[str, Any] = {"germs": {}}
-        for name, germ in germs:
-            entry: dict[str, Any] = {"duval": duval_type(germ.graph)}
-            try:
-                entry["tag"] = classify_germ(germ).tag
-            except LogSurfError as exc:
-                entry["tag"] = None
-                entry["note"] = str(exc)
-            for strict, key in ((True, "half_strict"), (False, "half_equal")):
-                try:
-                    hc = classify_half(germ, strict=strict)
-                    entry[key] = {
-                        "tag": hc.tag,
-                        "formula": hc.formula,
-                        "cf": _qmap(hc.coefficients),
-                    }
-                except NotApplicable:
-                    entry[key] = None
-            payload["germs"][name] = entry
-        text = "\n".join(
-            f"{name}: germ class {e['tag']}, du Val type {e['duval']}"
-            for name, e in payload["germs"].items()
-        )
-        return payload, text
-
-    if command == "peel":
-        peeling = mmp.peel(model, kind=kind, pure=True)
-        result = _peeling_payload(peeling)
-        result["coefficients"] = _qmap(
-            {v: c for v, c in peeling.model.coefficients.items() if v in peeling.exceptional}
-        )
-        text = (
-            f"peeled ({kind} kind): {result['exceptional']}\n"
-            f"gamma={result['gamma']} lambda={result['lambda']} delta={result['delta']}"
-            f" extra={result['extra']}\n"
-            + "\n".join(f"cf({k}) = {v}" for k, v in result["coefficients"].items())
-        )
-        return result, text
-
-    if command == "squeeze":
-        run = mmp.squeeze(model, kind=kind)
-        result = {"steps": _steps(run), "contracted": sorted(run.exceptional)}
-        text = "squeezing contracts: " + (", ".join(result["contracted"]) or "nothing")
-        return result, text
-
-    if command == "redundant":
-        out = mmp.redundant(model, kind=kind)
-        result = {
-            "redundant": [
-                {
-                    "vertex": v.vertex,
-                    "kind": v.kind,
-                    "self_kind": v.self_kind,
-                    "case": v.case,
-                    "pairing": _q(v.pairing),
-                    "self_int": _q(v.self_int),
-                    "components": [sorted(c) for c in v.components],
-                    "inequality": [_q(v.inequality[0]), _q(v.inequality[1])]
-                    if v.inequality
-                    else None,
-                }
-                for v in out
-            ]
-        }
-        text = "\n".join(
-            f"{v['vertex']}: case {v['case']}, image kind {v['kind']}"
-            for v in result["redundant"]
-        ) or "no redundant curves"
-        return result, text
-
-    if command == "ale":
-        out = mmp.almost_log_exceptional(model, kind=kind)
-        result = {
-            "almost_log_exceptional": [
-                {
-                    "vertex": v.vertex,
-                    "kind": v.kind,
-                    "case": v.case,
-                    "case_half": v.case_half,
-                    "pairing": _q(v.pairing),
-                    "self_int": _q(v.self_int),
-                    "components": [sorted(c) for c in v.components],
-                }
-                for v in out
-            ]
-        }
-        text = "\n".join(
-            f"{v['vertex']}: case {v['case']}"
-            + (f" / half-case {v['case_half']}" if v["case_half"] else "")
-            + f", kind {v['kind']}"
-            for v in result["almost_log_exceptional"]
-        ) or "no almost log exceptional curves"
-        return result, text
-
-    if command == "mmp":
-        run = mmp.run_mmp(model, kind=kind, strategy=args.strategy)
-        result = {
-            "steps": _steps(run),
-            "final_contracted": sorted(run.final_contracted),
-            "remaining_vertices": len(run.final.noncontracted()),
-        }
-        text = (
-            "\n".join(
-                f"contract {s['vertex']} ({s['kind']}; pairing {s['pairing']})"
-                for s in result["steps"]
-            )
-            or "already minimal"
-        ) + f"\nfinal contracted: {result['final_contracted']}"
-        return result, text
-
-    if command == "amm":
-        decomp = mmp.almost_minimalize(model, kind=kind)
-        am_verdicts = []
-        for m in decomp.am.models:
-            r = m.r
-            am_verdicts.append(_eps_payload(eps_check(m, 1 - r)) if r is not None else None)
-        result = {
-            "am_steps": _steps(decomp.am),
-            "run_steps": _steps(decomp.run),
-            "min_exceptional": sorted(decomp.min_exceptional),
-            "almost_minimal_contracted": sorted(decomp.almost_minimal_model.contracted),
-            "ladder": [
-                {
-                    "contracted": sorted(r.model.contracted),
-                    "peeling": sorted(r.peeling_exc),
-                    "eps_verdict": _eps_payload(r.verdict) if r.verdict else None,
-                }
-                for r in decomp.ladder
-            ],
-            "intermediate_eps": am_verdicts,
-        }
-        final = decomp.almost_minimal_model
-        verdict = None
-        if final.r is not None:
-            verdict = eps_check(final, 1 - final.r)
-            result["final_eps"] = _eps_payload(verdict)
-        lines = [
-            "almost minimalization contracts: "
-            + (", ".join(s["vertex"] for s in result["am_steps"]) or "nothing"),
-            f"residual peeling: {result['min_exceptional']}",
-        ]
-        if verdict is not None:
-            tag = "" if verdict.is_lc else "not "
-            lines.append(
-                f"almost minimal model is {tag}(1-r)-lc"
-                f" (witness {verdict.witness}: cf = {_q(verdict.witness_cf)});"
-                f" dlt: {verdict.is_dlt}"
-            )
-        return result, "\n".join(lines)
-
-    if command == "enumerate-runs":
-        runs = mmp.enumerate_runs(model, kind=kind)
-        result = {
-            "count": len(runs),
-            "runs": [
-                {"exceptional": sorted(r.exceptional), "steps": _steps(r)} for r in runs
-            ],
-        }
-        text = f"{len(runs)} maximal run(s):\n" + "\n".join(
-            "  " + "+".join(r["exceptional"]) for r in result["runs"]
-        )
-        return result, text
-
-    raise NotApplicable(f"unknown command {command!r}")
+    if command not in _TABLE:
+        raise NotApplicable(f"unknown command {command!r}")
+    return _TABLE[command][0](model, args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         model = _load_model(args.model)
         if args.r is not None:
             model = LogSurfaceModel(
                 model.graph, model.contracted, parse_rational(args.r, "--r")
             )
-        if args.command == "dot":
-            output = to_dot(model, name=Path(args.model).stem)
-            payload = {"command": "dot", "input": args.model, "result": {"dot": output}}
-            text = output
-        else:
-            result, text = run_command(args.command, model, args)
-            payload = {
-                "command": args.command,
-                "input": args.model,
-                "options": {
-                    "r": args.r,
-                    "kind": args.kind,
-                    "eps": args.eps,
-                    "strategy": args.strategy,
-                },
-                "result": result,
+        result, text = run_command(args.command, model, args)
+        payload: dict[str, Any] = {"command": args.command, "input": args.model}
+        if _TABLE[args.command][1]:
+            payload["options"] = {
+                "r": args.r, "kind": args.kind, "eps": args.eps, "strategy": args.strategy
             }
+        payload["result"] = result
         out = json.dumps(payload, indent=2) + "\n" if args.json else text.rstrip("\n") + "\n"
         if args.out:
             try:

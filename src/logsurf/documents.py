@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -29,6 +30,10 @@ def parse_rational(text: Any, where: str = "") -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ParseError(f"{where or 'value'}: zero denominator in {text!r}") from None
+    except ValueError:  # beyond the interpreter's limit on integer digits
+        raise ParseError(
+            f"{where or 'value'}: more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -112,6 +117,12 @@ def parse_document(text: str) -> LogSurfaceModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # an integer beyond the interpreter's digit limit
+        raise ParseError(
+            f"JSON number with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     return model_from_dict(doc)
 
 
@@ -147,12 +158,17 @@ def serialize_model(model: LogSurfaceModel, name: str = "") -> str:
 # DOT
 
 
+def _esc(text: str) -> str:
+    """Text for a DOT quoted string: backslash and double quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(model: LogSurfaceModel, name: str = "graph") -> str:
     """DOT text: labels show -weight, boundary vertices are double circles,
     contracted vertices are grey."""
-    lines = [f'graph "{name}" {{']
+    lines = [f'graph "{_esc(name)}" {{']
     for v in model.graph.vertices:
-        attrs = [f'label="{v.id}\\n{-v.weight}"']
+        attrs = [f'label="{_esc(v.id)}\\n{-v.weight}"']
         if v.boundary > 0:
             attrs.append("shape=doublecircle")
         else:
@@ -161,10 +177,10 @@ def to_dot(model: LogSurfaceModel, name: str = "graph") -> str:
             attrs.append('style=filled fillcolor=grey')
         if v.genus:
             attrs.append(f'xlabel="g={v.genus}"')
-        lines.append(f'  "{v.id}" [{" ".join(attrs)}];')
+        lines.append(f'  "{_esc(v.id)}" [{" ".join(attrs)}];')
     for e in sorted(model.graph.edges, key=lambda e: e.pair):
         for _ in range(e.mult):
-            lines.append(f'  "{e.a}" -- "{e.b}";')
+            lines.append(f'  "{_esc(e.a)}" -- "{_esc(e.b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

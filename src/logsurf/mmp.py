@@ -35,6 +35,7 @@ _KINDS = {FIRST: (FIRST,), SECOND: (FIRST, SECOND)}
 _ENUMERATION_GUARD = 8
 
 
+# The field set and order are a CLI report format, checked by schema/report.schema.json.
 @dataclass(frozen=True)
 class CurveVerdict:
     vertex: str
@@ -63,6 +64,7 @@ def log_exceptional(model: LogSurfaceModel) -> list[CurveVerdict]:
 # runs
 
 
+# The field set and order are a CLI report format, checked by schema/report.schema.json.
 @dataclass(frozen=True)
 class Step:
     vertex: str
@@ -364,6 +366,7 @@ def squeeze(model: LogSurfaceModel, kind: str = FIRST) -> MMPRun:
 # redundant and almost log exceptional curves
 
 
+# The field set and order are a CLI report format, checked by schema/report.schema.json.
 @dataclass(frozen=True)
 class RedundantVerdict:
     vertex: str
@@ -376,6 +379,7 @@ class RedundantVerdict:
     inequality: Optional[tuple[Fraction, Fraction]] = None  # (lhs, rhs) of the twig test
 
 
+# The field set and order are a CLI report format, checked by schema/report.schema.json.
 @dataclass(frozen=True)
 class ALEVerdict:
     vertex: str

@@ -1,12 +1,13 @@
 """Byte identity of the CLI reports.
 
-Every command runs in process with ``--json`` on every bundled fixture, for
-both kinds and for the document's own boundary as well as r = 1/2 (14
-fixtures x 13 commands x 2 kinds x 2 r values = 728 calls).  The fixture
-path in the output is replaced by its basename, and stdout, stderr and the
-exit code of each call are hashed into one SHA-256.  A change that must
-leave every report as it is keeps this digest; a change that alters a
-report on purpose records the new digest here and says why.
+Every command runs in process on every bundled fixture, for both kinds and
+for the document's own boundary as well as r = 1/2 (14 fixtures x 13
+commands x 2 kinds x 2 r values = 728 calls), once with ``--json`` and once
+with the text output.  The fixture path in the output is replaced by its
+basename, and stdout, stderr and the exit code of each call are hashed into
+one SHA-256 per output kind.  A change that must leave every report as it is
+keeps both digests; a change that alters a report on purpose records the new
+digest here and says why.
 """
 
 import hashlib
@@ -16,17 +17,22 @@ from logsurf.cli import COMMANDS, main
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "logsurf" / "fixtures"
 
-DIGEST = "04650d2ff546d7ffcc3040d467e0c1409e8ddfcb0ae95a434300f9a6c82a7d8b"
+DIGESTS = {
+    "json": "04650d2ff546d7ffcc3040d467e0c1409e8ddfcb0ae95a434300f9a6c82a7d8b",
+    "text": "684b472d31d2598001d7bc5e7fc38f1150ecdff9dca69e2f791002fb583ab957",
+}
 
 
-def test_cli_reports_are_byte_identical(capsys):
+def _digest(capsys, output):
     h = hashlib.sha256()
     calls = 0
     for path in sorted(FIXDIR.glob("*.json")):
         for command in COMMANDS:
             for kind in ("first", "second"):
                 for r in (None, "1/2"):
-                    argv = [command, str(path), "--kind", kind, "--json"]
+                    argv = [command, str(path), "--kind", kind]
+                    if output == "json":
+                        argv.append("--json")
                     if r is not None:
                         argv += ["--r", r]
                     code = main(argv)
@@ -36,4 +42,12 @@ def test_cli_reports_are_byte_identical(capsys):
                         h.update(b"\0")
                     calls += 1
     assert calls == 728
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest()
+
+
+def test_cli_reports_are_byte_identical(capsys):
+    assert _digest(capsys, "json") == DIGESTS["json"]
+
+
+def test_cli_text_reports_are_byte_identical(capsys):
+    assert _digest(capsys, "text") == DIGESTS["text"]
