@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 from . import mmp
 from .classify import classify_germ, classify_half, duval_type, eps_check
 from .documents import format_rational, parse_document, parse_rational, to_dot
-from .errors import CoeffOutOfRange, LogSurfError, NotApplicable, ParseError
+from .errors import CoeffOutOfRange, LogSurfError, NotApplicable, ParseError, TooLarge
 from .graph import LogSurfaceModel
 from .invariants import (
     GermGraph,
@@ -344,14 +344,23 @@ def main(argv: Optional[list[str]] = None) -> int:
             model = LogSurfaceModel(
                 model.graph, model.contracted, parse_rational(args.r, "--r")
             )
-        result, text = run_command(args.command, model, args)
-        payload: dict[str, Any] = {"command": args.command, "input": args.model}
-        if _TABLE[args.command][1]:
-            payload["options"] = {
-                "r": args.r, "kind": args.kind, "eps": args.eps, "strategy": args.strategy
-            }
-        payload["result"] = result
-        out = json.dumps(payload, indent=2) + "\n" if args.json else text.rstrip("\n") + "\n"
+        try:  # the report's numbers become text here and in json.dumps
+            result, text = run_command(args.command, model, args)
+            payload: dict[str, Any] = {"command": args.command, "input": args.model}
+            if _TABLE[args.command][1]:
+                payload["options"] = {
+                    "r": args.r, "kind": args.kind, "eps": args.eps, "strategy": args.strategy
+                }
+            payload["result"] = result
+            out = json.dumps(payload, indent=2) + "\n" if args.json else text.rstrip("\n") + "\n"
+        except ValueError as exc:
+            # only an integer beyond the interpreter's digit limit is a domain
+            # error; any other ValueError is a fault of the program
+            if "integer string conversion" not in str(exc):
+                raise
+            raise TooLarge(
+                f"a report number has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         if args.out:
             try:
                 Path(args.out).write_text(out)

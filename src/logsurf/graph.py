@@ -13,6 +13,18 @@ components (the singular points), so each component is factored once, by
 ``linalg.factor_definite``, and the factorization is cached on its
 ``DualGraph``: a contraction refactors only the component it changes, and
 every solve runs component by component from the cached exact inverse.
+
+The same holds one level up.  The questions a run asks of a curve l have
+local answers: l^2 and l.K depend only on l and on the contracted components
+l meets, l.(K + D) on those and on the uniform coefficient r; the
+coefficients and the K-correction of a component depend on the component
+(and r), and the support of D on r.  All models of one graph share one table
+of answers on the ``DualGraph`` (``_memo``), keyed by that local state, so a
+question is computed once however many models of the graph ask it.  The
+table lives and dies with its graph; nothing is shared between graphs.  The
+component partition of a contracted set is found once per graph too
+(``DualGraph.blocks``): the definiteness check finds it, and the model built
+on that set reads its solves and its keys off it.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import (
     CoeffOutOfRange,
@@ -42,6 +54,8 @@ ONE = Fraction(1)
 # a connected vertex set in sorted order, d = det(-Q|set) and the integer
 # adjugate, so that (-Q|set)^-1 = adj / d
 Factor = tuple[tuple[str, ...], int, list[list[int]]]
+_T = TypeVar("_T")
+_MISSING = object()
 
 
 def _check_types(
@@ -189,21 +203,59 @@ class DualGraph:
         return 2 * v.genus - 2 + v.weight
 
     def neg_q(self, order: Iterable[str]) -> list[list[int]]:
+        """-Q on the distinct vertex ids ``order``, rows and columns in that order."""
         ids = list(order)
-        return [[-self.mult(u, v) for v in ids] for u in ids]
+        pos = {u: i for i, u in enumerate(ids)}
+        if len(pos) != len(ids):
+            raise ValidationError(f"neg_q: repeated vertex id in {ids}")
+        rows = []
+        for u in ids:
+            row = [0] * len(ids)
+            row[pos[u]] = self.vertex(u).weight
+            for w, m in self.adjacency[u].items():
+                if w in pos:
+                    row[pos[w]] = -m
+            rows.append(row)
+        return rows
 
     @cached_property
-    def _factors(self) -> dict[frozenset[str], Optional[Factor]]:
+    def _answers(self) -> dict[tuple, object]:
         return {}
+
+    def _memo(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        """The answer for ``key``, a tag and the local state that determines
+        the answer; ``compute`` gives it the first time it is asked."""
+        answers = self._answers
+        value = answers.get(key, _MISSING)
+        if value is _MISSING:
+            value = answers[key] = compute()
+        return value
 
     def factor(self, comp: frozenset[str]) -> Optional[Factor]:
         """The factorization of -Q on the connected vertex set ``comp``; None
         when -Q|comp is not positive definite.  Computed once per set."""
-        if comp not in self._factors:
+
+        def find() -> Optional[Factor]:
             order = tuple(sorted(comp))
             f = factor_definite(self.neg_q(order))
-            self._factors[comp] = None if f is None else (order, *f)
-        return self._factors[comp]
+            return None if f is None else (order, *f)
+
+        return self._memo(("factor", comp), find)
+
+    def blocks(self, S: frozenset[str]) -> Optional[dict[frozenset[str], Factor]]:
+        """The factorization of each connected component of S (its singular
+        points, when S is contracted); None when -Q|S is not positive
+        definite.  Found once per set; the dict is shared, not to be changed."""
+
+        def find() -> Optional[dict[frozenset[str], Factor]]:
+            out = {}
+            for comp in self.connected_components(S):
+                f = out[comp] = self.factor(comp)
+                if f is None:
+                    return None
+            return out
+
+        return self._memo(("blocks", S), find)
 
     def connected_components(self, within: Iterable[str]) -> list[frozenset[str]]:
         pool = set(within)
@@ -250,10 +302,10 @@ def branching_number(graph: DualGraph, T: Iterable[str], D: Optional[Iterable[st
 def is_negative_definite(graph: DualGraph, S: Iterable[str]) -> bool:
     """Sylvester's criterion on -Q restricted to S, one connected component
     at a time (-Q|S is block-diagonal over them)."""
-    ids = set(S)
+    ids = frozenset(S)
     for vid in ids:
         graph.vertex(vid)
-    return all(graph.factor(comp) is not None for comp in graph.connected_components(ids))
+    return graph.blocks(ids) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +640,27 @@ def contracts_to_smooth_point(graph: DualGraph, S: Iterable[str]) -> bool:
 # log surface models
 
 
+def _coeff(v: Vertex, r: Optional[Fraction]) -> Fraction:
+    """The boundary coefficient of ``v`` under the uniform coefficient ``r``."""
+    return r if r is not None and v.boundary > 0 else v.boundary
+
+
+def _solve_block(block: Factor, rhs: Mapping[str, Fraction]) -> Optional[dict[str, Fraction]]:
+    """x on one component with (-Q) x = rhs there; None when rhs vanishes on it."""
+    order, d, adj = block
+    idx = [(i, rhs[e]) for i, e in enumerate(order) if rhs.get(e)]
+    if not idx:
+        return None
+    scale = lcm(*(c.denominator for _, c in idx))
+    acc = [0] * len(order)
+    for i, c in idx:
+        b = c.numerator * (scale // c.denominator)
+        for k, a in enumerate(adj[i]):  # adj is symmetric
+            acc[k] += a * b
+    den = d * scale
+    return {e: Fraction(v, den) for e, v in zip(order, acc)}
+
+
 @dataclass(frozen=True)
 class LogSurfaceModel:
     """A dual graph plus a contracted vertex set and a boundary.
@@ -608,12 +681,14 @@ class LogSurfaceModel:
             if not (0 <= r <= 1):
                 raise CoeffOutOfRange(f"uniform coefficient {r} not in [0,1]")
             object.__setattr__(self, "uniform_r", r)
-        for vid in self.contracted:
-            self.graph.vertex(vid)
+        # is_negative_definite rejects an unknown id before anything else
         if not is_negative_definite(self.graph, self.contracted):
             raise NotNegativeDefinite(
                 f"contracted set {sorted(self.contracted)} is not negative definite"
             )
+        # the component partition the check just found on the graph: the
+        # solves and the local-state keys below read it
+        object.__setattr__(self, "_blocks", self.graph.blocks(self.contracted))
 
     # -- basic views ------------------------------------------------------
 
@@ -622,28 +697,27 @@ class LogSurfaceModel:
         return tuple(sorted(self.contracted))
 
     def coeff(self, vid: str) -> Fraction:
-        v = self.graph.vertex(vid)
-        if self.uniform_r is not None and v.boundary > 0:
-            return self.uniform_r
-        return v.boundary
+        return _coeff(self.graph.vertex(vid), self.uniform_r)
+
+    def _positive(self, r: Optional[Fraction]) -> tuple[str, ...]:
+        """Vertices outside the contracted set with a positive coefficient
+        under ``r``, in vertex order."""
+        positive = self.graph._memo(
+            ("support", r),
+            lambda: tuple(v.id for v in self.graph.vertices if _coeff(v, r) > 0),
+        )
+        return tuple(v for v in positive if v not in self.contracted)
 
     @cached_property
     def boundary_support(self) -> tuple[str, ...]:
-        return tuple(
-            v.id
-            for v in self.graph.vertices
-            if v.id not in self.contracted and self.coeff(v.id) > 0
-        )
+        return self._positive(self.uniform_r)
 
     @cached_property
     def boundary_flagged(self) -> tuple[str, ...]:
         """Vertices flagged as boundary (support of the reduced divisor D),
         regardless of the current coefficient value."""
-        return tuple(
-            v.id
-            for v in self.graph.vertices
-            if v.id not in self.contracted and v.boundary > 0
-        )
+        # with no uniform r overriding it, the field itself is the coefficient
+        return self._positive(None)
 
     @cached_property
     def r(self) -> Optional[Fraction]:
@@ -666,27 +740,31 @@ class LogSurfaceModel:
 
     # -- exact intersection theory on the contracted model ----------------
 
+    def _by_component(
+        self, values: Callable[[frozenset[str]], dict[str, Fraction]]
+    ) -> dict[str, Fraction]:
+        """The per-component ``values`` joined over the contracted set, in
+        ``contracted_order``."""
+        out: dict[str, Fraction] = {}
+        for comp in self._blocks:
+            out.update(values(comp))
+        return {e: out[e] for e in self.contracted_order}
+
     @cached_property
-    def _blocks(self) -> tuple[Factor, ...]:
-        # every component factors: checked by is_negative_definite at construction
-        return tuple(self.graph.factor(c) for c in self.graph.connected_components(self.contracted))
+    def _component_of(self) -> dict[str, frozenset[str]]:
+        return {v: comp for comp in self._blocks for v in comp}
+
+    def _met(self, vid: str) -> frozenset[frozenset[str]]:
+        """The contracted components that the curve ``vid`` meets."""
+        comp_of = self._component_of
+        return frozenset(comp_of[w] for w in self.graph.adjacency[vid] if w in comp_of)
 
     def _solve(self, rhs: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """x on the contracted block with (-Q) x = rhs, solved on the
         components that rhs meets; x is 0 on the others."""
         out: dict[str, Fraction] = {}
-        for order, d, adj in self._blocks:
-            idx = [(i, rhs[e]) for i, e in enumerate(order) if rhs.get(e)]
-            if not idx:
-                continue
-            scale = lcm(*(c.denominator for _, c in idx))
-            acc = [0] * len(order)
-            for i, c in idx:
-                b = c.numerator * (scale // c.denominator)
-                for k, a in enumerate(adj[i]):  # adj is symmetric
-                    acc[k] += a * b
-            den = d * scale
-            out.update((e, Fraction(v, den)) for e, v in zip(order, acc))
+        for block in self._blocks.values():
+            out.update(_solve_block(block, rhs) or ())
         return out
 
     def _contact(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -717,14 +795,28 @@ class LogSurfaceModel:
         return self.graph.pairing(self.pullback(A), B)
 
     def self_int(self, vid: str) -> Fraction:
-        return self.intersect({vid: ONE}, {vid: ONE})
+        """image(v)^2 on the contracted model."""
+        self.graph.vertex(vid)
+        if vid in self.contracted:
+            raise UnknownVertex(f"{vid!r} is contracted; pull back its image instead")
+        return self.graph._memo(
+            ("self_int", vid, self._met(vid)), lambda: self.intersect({vid: ONE}, {vid: ONE})
+        )
+
+    def _component_k_correction(self, comp: frozenset[str]) -> dict[str, Fraction]:
+        # pullback of the image of K on one component: K + sum u_i E_i with
+        # (K + sum)/E_j = 0, i.e. sum_i u_i (-E_i.E_j) = K.E_j
+        return self.graph._memo(
+            ("k_correction", comp),
+            lambda: _solve_block(
+                self._blocks[comp], {e: Fraction(self.graph.k_dot(e)) for e in comp}
+            )
+            or dict.fromkeys(comp, ZERO),
+        )
 
     @cached_property
     def _k_correction(self) -> dict[str, Fraction]:
-        # pullback of the image of K: K + sum u_i E_i with (K + sum)/E_j = 0,
-        # i.e. sum_i u_i (-E_i.E_j) = K.E_j
-        sol = self._solve({e: Fraction(self.graph.k_dot(e)) for e in self.contracted_order})
-        return {e: sol.get(e, ZERO) for e in self.contracted_order}
+        return self._by_component(self._component_k_correction)
 
     def canonical_intersect(self, A: Mapping[str, Fraction]) -> Fraction:
         """A . K on the contracted model (K from adjunction plus Mumford
@@ -735,22 +827,44 @@ class LogSurfaceModel:
                 raise UnknownVertex(f"{u!r} is contracted")
             total += c * self.graph.k_dot(u)
         for e, x in self._contact(A).items():
-            total += x * self._k_correction[e]
+            total += x * self._component_k_correction(self._component_of[e])[e]
         return total
+
+    def k_pairing(self, vid: str) -> Fraction:
+        """image(v) . K on the contracted model: canonical_intersect({vid: 1})."""
+        if vid in self.contracted:
+            raise UnknownVertex(f"{vid!r} is contracted")
+        self.graph.vertex(vid)
+        return self.graph._memo(
+            ("k_pairing", vid, self._met(vid)), lambda: self.canonical_intersect({vid: ONE})
+        )
 
     @cached_property
     def boundary_divisor(self) -> dict[str, Fraction]:
         return {v: self.coeff(v) for v in self.boundary_support}
 
+    def _component_coefficients(self, comp: frozenset[str]) -> dict[str, Fraction]:
+        """cf on one component: sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j
+        for E_j in it.  Only curves outside the contracted set meet it from
+        outside, so B.E_j reads their coefficients."""
+
+        def solve() -> dict[str, Fraction]:
+            graph, rhs = self.graph, {}
+            for e in comp:
+                x = Fraction(graph.k_dot(e)) + graph.vertex(e).decoration
+                for w, m in graph.adjacency[e].items():
+                    if w not in comp:
+                        x += self.coeff(w) * m
+                rhs[e] = x
+            return _solve_block(self._blocks[comp], rhs) or dict.fromkeys(comp, ZERO)
+
+        return self.graph._memo(("coefficients", comp, self.uniform_r), solve)
+
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:
         """cf(E; current model) for every contracted vertex E: the unique
         solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j."""
-        rhs = self._contact(self.boundary_divisor)
-        for e in self.contracted_order:
-            rhs[e] = rhs.get(e, ZERO) + self.graph.k_dot(e) + self.graph.vertex(e).decoration
-        sol = self._solve(rhs)
-        return {e: sol.get(e, ZERO) for e in self.contracted_order}
+        return self._by_component(self._component_coefficients)
 
     def lk_pairing(self, vid: str) -> Fraction:
         """image(v) . (K + D) on the contracted model.  Decorations count as
@@ -758,12 +872,14 @@ class LogSurfaceModel:
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
         v = self.graph.vertex(vid)
-        bd, cf = self.boundary_divisor, self.coefficients
-        total = Fraction(self.graph.k_dot(vid)) + v.decoration
-        if vid in bd:
-            total -= bd[vid] * v.weight
-        for w, m in self.graph.adjacency[vid].items():
-            c = bd.get(w) or cf.get(w)
-            if c:
-                total += c * m
-        return total
+
+        def pairing() -> Fraction:
+            total = Fraction(self.graph.k_dot(vid)) + v.decoration - self.coeff(vid) * v.weight
+            for w, m in self.graph.adjacency[vid].items():
+                comp = self._component_of.get(w)
+                c = self.coeff(w) if comp is None else self._component_coefficients(comp)[w]
+                if c:
+                    total += c * m
+            return total
+
+        return self.graph._memo(("lk_pairing", vid, self._met(vid), self.uniform_r), pairing)

@@ -8,7 +8,6 @@ the two are cross-checked by the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -469,7 +468,8 @@ def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
     # curve of coefficient c + c' - 1; at eps = 0 the reported maximum is not
     # a certified supremum whenever some adjacent pair sums above 1
     flag = any(
-        model.graph.mult(u, w) > 0 and entries[u] + entries[w] > 1
-        for u, w in itertools.combinations(sorted(entries), 2)
+        w in entries and entries[u] + entries[w] > 1
+        for u in entries
+        for w in model.graph.adjacency[u]
     )
     return TotalCoefficient(value, witness, flag)

@@ -111,8 +111,9 @@ def _step(
 ) -> Optional[Step]:
     """The contraction of ``vid`` when its image is log exceptional (for K + D,
     or for K alone without the boundary) of one of ``kinds``, else None.  The
-    pairing is tested first: the self-intersection costs a pullback solve."""
-    p = model.lk_pairing(vid) if use_boundary else model.canonical_intersect({vid: ONE})
+    pairing is tested first, so the self-intersection is asked only of curves
+    of an admitted kind."""
+    p = model.lk_pairing(vid) if use_boundary else model.k_pairing(vid)
     kind = FIRST if p < 0 else SECOND if p == 0 else None
     if kind not in kinds:
         return None
@@ -290,7 +291,7 @@ def _peel_candidates(
     flagged = sorted(
         v
         for v in model.boundary_flagged
-        if not pure or model.canonical_intersect({v: ONE}) >= 0
+        if not pure or model.k_pairing(v) >= 0
     )
     return lambda cur: [v for v in flagged if v not in cur.contracted]
 
@@ -346,7 +347,7 @@ def peeling_from(
         raise NotApplicable("a peeling contracts boundary components only")
     if pure:
         for v in excset:
-            if model.canonical_intersect({v: ONE}) < 0:
+            if model.k_pairing(v) < 0:
                 raise NotApplicable(f"{v!r} pairs negatively with K; not a pure peeling")
     run = relative_mmp(model, excset, use_boundary=True, kind=kind)
     if run.exceptional != excset:
@@ -407,7 +408,7 @@ def redundant(
     peeled = peeling.model
     out = []
     for v in sorted(set(model.boundary_flagged) - peeling.exceptional):
-        if model.canonical_intersect({v: ONE}) >= 0:
+        if model.k_pairing(v) >= 0:
             continue
         verdict = _step(peeled, v, _KINDS[kind], True)
         if verdict is None:
@@ -479,7 +480,7 @@ def almost_log_exceptional(
         verdict = _step(peeled, v, _KINDS[kind], True)
         if verdict is None:
             continue
-        if verdict.kind == SECOND and model.canonical_intersect({v: ONE}) == 0:
+        if verdict.kind == SECOND and model.k_pairing(v) == 0:
             continue
         comps = _met_components(model, peeling.exceptional, v)
         case = _ale_case(model, v, comps)
@@ -823,7 +824,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
             (
                 v
                 for v in sorted(peeled.noncontracted())
-                if cur.canonical_intersect({v: ONE}) < 0 and _step(peeled, v, kinds, True)
+                if cur.k_pairing(v) < 0 and _step(peeled, v, kinds, True)
             ),
             None,
         )
@@ -842,7 +843,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
         k_trivial = sorted(
             v
             for v in peeled.noncontracted()
-            if v not in flagged and cur.canonical_intersect({v: ONE}) == 0
+            if v not in flagged and cur.k_pairing(v) == 0
         )
         sweep = _greedy(
             peeled, lambda m: [v for v in k_trivial if v not in m.contracted], (SECOND,), True

@@ -208,6 +208,34 @@ def test_bad_option_value_is_domain_error(capsys, option, message):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("form", [("--json",), ()], ids=["json", "text"])
+def test_report_number_beyond_digit_limit_is_domain_error(capsys, tmp_path, form):
+    # each weight has 3001 digits, within the limit; the discriminant w^2 - 1
+    # of the contracted pair has 6001
+    weight = 10**3000 + 1
+    doc = {
+        "vertices": [{"id": "a", "weight": weight}, {"id": "b", "weight": weight}],
+        "edges": [{"a": "a", "b": "b"}],
+        "contracted": ["a", "b"],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "discriminant", str(path), *form)
+    assert code == 2
+    assert out == "" and "error: a report number has more than 4300 digits" in err
+
+
+def test_other_value_errors_still_raise(monkeypatch):
+    import logsurf.cli
+
+    def fault(model, args):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setitem(logsurf.cli._TABLE, "discriminant", (fault, True))
+    with pytest.raises(ValueError, match="a fault of the program"):
+        main(["discriminant", str(FIXDIR / "d4.json")])
+
+
 @pytest.mark.parametrize("eps", ["0", "1/3", "1"])
 def test_eps_bounds_are_accepted(capsys, eps):
     code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "d4.json"), "--eps", eps)

@@ -12,6 +12,7 @@ from logsurf import (
     Edge,
     NotNegativeDefinite,
     SelfLoop,
+    UnknownVertex,
     ValidationError,
     Vertex,
     blow_up,
@@ -187,6 +188,37 @@ def test_negative_definite_examples():
     es = list(bench.edges) + [Edge("t2_0", "x1"), Edge("t2_0", "x2")]
     bench2 = DualGraph(tuple(vs), tuple(es))
     assert not is_negative_definite(bench2, bench2.ids)
+
+
+@pytest.mark.parametrize(
+    "ask, contracted_message",
+    [
+        (lambda m, v: m.self_int(v), "'v0' is contracted; pull back its image instead"),
+        (lambda m, v: m.lk_pairing(v), "'v0' is contracted"),
+        (lambda m, v: m.k_pairing(v), "'v0' is contracted"),
+        (lambda m, v: m.canonical_intersect({v: F(1)}), "'v0' is contracted"),
+    ],
+    ids=["self_int", "lk_pairing", "k_pairing", "canonical_intersect"],
+)
+def test_local_questions_reject_bad_ids_after_answers_are_cached(ask, contracted_message):
+    g = chain_graph(2, 3, 2)
+    m = model(g, ["v0"], "1/2")
+    # the graph's table holds answers for every curve before the bad asks
+    for other in (m, model(g, ["v1"], "1/2")):
+        for v in other.noncontracted():
+            ask(other, v)
+    with pytest.raises(UnknownVertex) as err:
+        ask(m, "v0")
+    assert str(err.value) == contracted_message
+    with pytest.raises(UnknownVertex, match="no vertex 'nope'"):
+        ask(m, "nope")
+
+
+def test_neg_q_rejects_a_repeated_id():
+    g = chain_graph(2, 3)
+    assert g.neg_q(["v1", "v0"]) == [[3, -1], [-1, 2]]
+    with pytest.raises(ValidationError, match="repeated vertex id"):
+        g.neg_q(["v0", "v1", "v0"])
 
 
 def test_negative_definite_matches_minor_oracle():

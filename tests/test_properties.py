@@ -1,6 +1,7 @@
 """Property tests (hypothesis): answers that must not depend on how the
 vertices are named, the intersection theory of a model against a whole-block
-``solve_int`` oracle, and the coefficients across a blow-up."""
+``solve_int`` oracle, the answers cached on a graph against those of a model
+on a new graph, and the coefficients across a blow-up."""
 
 from fractions import Fraction as F
 
@@ -125,6 +126,8 @@ def _whole_block(g, order):
 def test_negative_definiteness_is_sylvester_on_the_whole_block(case):
     g, S, _ = case
     order = sorted(S)
+    assert g.neg_q(order) == _whole_block(g, order)
+    assert g.neg_q(order[::-1]) == _whole_block(g, order[::-1])
     assert is_negative_definite(g, S) == all(x > 0 for x in leading_minors(_whole_block(g, order)))
 
 
@@ -164,6 +167,53 @@ def test_model_answers_equal_a_whole_block_solve(case):
     contact = [sum((c * _mult(g, u, e) for u, c in A.items()), F(0)) for e in order]
     x = solve(contact)
     assert model.pullback(A) == {**A, **{e: c for e, c in x.items() if c}}
+
+
+# ---------------------------------------------------------------------------
+# answers cached on the graph against a model on a graph of its own
+
+
+@st.composite
+def trees_with_contraction_orders(draw):
+    """A tree of 2-10 curves (boundary flags, a few non-flag coefficients,
+    decorations and elliptic curves), two uniform coefficients (or None)
+    and an order in which to try contracting its curves."""
+    n = draw(st.integers(2, 10))
+    weights = draw(st.lists(st.sampled_from((1, 2, 2, 2, 3, 3, 4)), min_size=n, max_size=n))
+    genera = draw(st.lists(st.sampled_from((0,) * 9 + (1,)), min_size=n, max_size=n))
+    decorations = draw(st.lists(st.sampled_from((0, 0, 0, 0, 1)), min_size=n, max_size=n))
+    boundary = draw(st.lists(st.sampled_from((0, 0, 1, 1, F(1, 3))), min_size=n, max_size=n))
+    vertices = tuple(
+        Vertex(f"v{i}", weights[i], genera[i], F(decorations[i]), F(boundary[i]))
+        for i in range(n)
+    )
+    edges = tuple(Edge(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n))
+    r = st.sampled_from((None, F(0), F(1, 3), F(1, 2), F(2, 3), F(1)))
+    order = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    return vertices, edges, (draw(r), draw(r)), order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(trees_with_contraction_orders())
+def test_cached_answers_equal_those_of_a_fresh_model(case):
+    vertices, edges, rs, order = case
+    g = DualGraph(vertices, edges)
+    # contract in the drawn order, skipping a curve that would break
+    # definiteness; every model at both coefficients shares the graph's table
+    sets = [frozenset()]
+    for v in order:
+        if is_negative_definite(g, sets[-1] | {v}):
+            sets.append(sets[-1] | {v})
+    for S in sets + sets[::-1]:
+        for r in rs:
+            cached = LogSurfaceModel(g, S, r)
+            fresh = LogSurfaceModel(DualGraph(vertices, edges), S, r)
+            assert list(cached.coefficients.items()) == list(fresh.coefficients.items())
+            assert cached.boundary_support == fresh.boundary_support
+            for v in cached.noncontracted():
+                assert cached.self_int(v) == fresh.intersect({v: F(1)}, {v: F(1)})
+                assert cached.k_pairing(v) == fresh.canonical_intersect({v: F(1)})
+                assert cached.lk_pairing(v) == fresh.lk_pairing(v)
 
 
 # ---------------------------------------------------------------------------
