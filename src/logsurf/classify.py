@@ -27,12 +27,6 @@ class GermClass:
     payload: dict = field(default_factory=dict, compare=False)
 
 
-def _theta_contacts(germ: GermGraph) -> dict[str, Fraction]:
-    return {
-        v.id: v.decoration for v in germ.graph.vertices if v.decoration > 0
-    }
-
-
 def _is_chain_graph(graph: DualGraph) -> Optional[tuple[str, ...]]:
     return _chain_order(graph, frozenset(graph.ids))
 
@@ -54,7 +48,7 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
         raise NotApplicable("germ classification expects a connected graph")
     if not germ.is_minimal():
         raise NotMinimal("germ has a smooth rational (-1)-vertex")
-    theta = _theta_contacts(germ)
+    theta = germ.contacts
     if has_boundary is None:
         has_boundary = bool(theta)
     if has_boundary != bool(theta):
@@ -136,7 +130,7 @@ def _germ_half_bench(germ: GermGraph) -> Optional[dict]:
     """E of type <b;2,2,t> or [2,b,2], reduced-boundary contact 1 at the far
     end of the central chain."""
     graph = germ.graph
-    theta = _theta_contacts(germ)
+    theta = germ.contacts
     if sum(theta.values()) != 1:
         return None
     (cv,) = [v for v, t in theta.items() if t == 1]
@@ -269,7 +263,7 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
     """Match the germ against the cf <= 1/2 case list; return
     (tag, formula, closed-form coefficients) or None."""
     graph = germ.graph
-    theta = _theta_contacts(germ)
+    theta = germ.contacts
     boundary = bool(theta)
     ids = graph.ids
     n = len(ids)
@@ -371,7 +365,7 @@ def classify_half(
     cf = 1/2 list (cases (2a)/(2b)).  The returned coefficients are the
     closed forms evaluated at the germ's boundary coefficient ``r``.
     """
-    theta = _theta_contacts(germ)
+    theta = germ.contacts
     if has_boundary is None:
         has_boundary = bool(theta)
     if has_boundary != bool(theta):

@@ -12,7 +12,8 @@ contracted curve trivially.
 components (the singular points), so each component is factored once, by
 ``linalg.factor_definite``, and the factorization is cached on its
 ``DualGraph``: a contraction refactors only the component it changes, and
-every solve runs component by component from the cached exact inverse.
+every solve runs component by component from the cached fraction-free LU
+factor, one right-hand side at a time (no inverse is built).
 
 The same holds one level up.  The questions a run asks of a curve l have
 local answers: l^2 and l.K depend only on l and on the contracted components
@@ -33,7 +34,6 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import (
@@ -46,13 +46,13 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .linalg import factor_definite
+from .linalg import factor_definite, solve_factored
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# a connected vertex set in sorted order, d = det(-Q|set) and the integer
-# adjugate, so that (-Q|set)^-1 = adj / d
+# a connected vertex set in sorted order, d = det(-Q|set) and the
+# fraction-free LU factor of -Q|set that linalg.solve_factored solves from
 Factor = tuple[tuple[str, ...], int, list[list[int]]]
 _T = TypeVar("_T")
 _MISSING = object()
@@ -95,8 +95,12 @@ class Vertex:
             {"weight": self.weight, "genus": self.genus},
             {"decoration": self.decoration, "boundary": self.boundary},
         )
-        object.__setattr__(self, "decoration", Fraction(self.decoration))
-        object.__setattr__(self, "boundary", Fraction(self.boundary))
+        # an exact Fraction is kept as it is: Fraction(x) would rebuild it
+        # through the slow abstract-Rational path
+        if type(self.decoration) is not Fraction:
+            object.__setattr__(self, "decoration", Fraction(self.decoration))
+        if type(self.boundary) is not Fraction:
+            object.__setattr__(self, "boundary", Fraction(self.boundary))
         if not (0 <= self.boundary <= 1):
             raise CoeffOutOfRange(f"boundary coefficient {self.boundary} of {self.id!r} not in [0,1]")
         if self.decoration < 0:
@@ -647,18 +651,11 @@ def _coeff(v: Vertex, r: Optional[Fraction]) -> Fraction:
 
 def _solve_block(block: Factor, rhs: Mapping[str, Fraction]) -> Optional[dict[str, Fraction]]:
     """x on one component with (-Q) x = rhs there; None when rhs vanishes on it."""
-    order, d, adj = block
-    idx = [(i, rhs[e]) for i, e in enumerate(order) if rhs.get(e)]
-    if not idx:
+    order, d, lu = block
+    b = [rhs.get(e, ZERO) for e in order]
+    if not any(b):
         return None
-    scale = lcm(*(c.denominator for _, c in idx))
-    acc = [0] * len(order)
-    for i, c in idx:
-        b = c.numerator * (scale // c.denominator)
-        for k, a in enumerate(adj[i]):  # adj is symmetric
-            acc[k] += a * b
-    den = d * scale
-    return {e: Fraction(v, den) for e, v in zip(order, acc)}
+    return dict(zip(order, solve_factored(d, lu, b)))
 
 
 @dataclass(frozen=True)

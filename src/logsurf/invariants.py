@@ -108,6 +108,16 @@ def _check_chain(graph: DualGraph, order: Sequence[str]) -> None:
                 raise NotAChain(f"vertices {u!r}, {ids[j]!r} intersect in {m}, expected {want}")
 
 
+def _continuants(weights: Iterable[int]) -> list[int]:
+    """d of the chains w[:0], w[:1], ..., w[:m] with these weights in order:
+    -Q of a chain is tridiagonal, so d_k = w_k d_(k-1) - d_(k-2)."""
+    out, prev, cur = [1], 0, 1
+    for w in weights:
+        prev, cur = cur, w * cur - prev
+        out.append(cur)
+    return out
+
+
 def chain_data(graph: DualGraph, order: Sequence[str]) -> ChainData:
     """Discriminant data of an ordered chain; d'(empty) = 0 by convention.
 
@@ -117,9 +127,12 @@ def chain_data(graph: DualGraph, order: Sequence[str]) -> ChainData:
     ids = tuple(order)
     _check_chain(graph, ids)
     m = len(ids)
-    d = discriminant(graph, ids)
-    d_upper = tuple(discriminant(graph, ids[i:]) for i in range(1, m + 1))
-    d_lower = tuple(discriminant(graph, ids[:i]) for i in range(m))
+    weights = [graph.vertex(v).weight for v in ids]
+    prefix = _continuants(weights)
+    suffix = _continuants(reversed(weights))  # suffix[k]: the last k curves
+    d = prefix[m]
+    d_upper = tuple(reversed(suffix[:m]))
+    d_lower = tuple(prefix[:m])
     d_prime = d_upper[0] if m else 0
     cd = ChainData(ids, d, d_prime, d_upper, d_lower)
     if ids and is_admissible_chain(graph, ids):
@@ -361,6 +374,12 @@ class GermGraph:
     def coefficients(self) -> dict[str, Fraction]:
         return dict(self.model.coefficients)
 
+    @cached_property
+    def contacts(self) -> dict[str, Fraction]:
+        """theta_j of every decorated curve (theta_j > 0); shared, not to be
+        changed."""
+        return {v.id: v.decoration for v in self.graph.vertices if v.decoration > 0}
+
     def u_of(self, vid: str) -> Fraction:
         v = self.graph.vertex(vid)
         beta = branching_number(self.graph, [vid])
@@ -450,7 +469,23 @@ def cofactor_matches_path(graph: DualGraph, i: str, j: str) -> bool:
 class TotalCoefficient:
     value: Fraction
     witness: str
-    may_underreport_at_eps0: bool
+    # the coefficients the maximum was taken over, on this graph
+    entries: dict[str, Fraction] = field(repr=False, compare=False)
+    graph: DualGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def may_underreport_at_eps0(self) -> bool:
+        """Whether a blowup at a double point could exceed ``value`` at eps = 0.
+
+        A blowup at a point on two components with coefficients c, c' yields
+        a curve of coefficient c + c' - 1; at eps = 0 the reported maximum is
+        not a certified supremum whenever some adjacent pair sums above 1."""
+        entries = self.entries
+        return any(
+            w in entries and entries[u] + entries[w] > 1
+            for u in entries
+            for w in self.graph.adjacency[u]
+        )
 
 
 def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
@@ -461,15 +496,7 @@ def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
     for b in model.boundary_support:
         entries[b] = model.coeff(b)
     if not entries:
-        return TotalCoefficient(ZERO, "", False)
+        return TotalCoefficient(ZERO, "", entries, model.graph)
     value = max(entries.values())
     witness = min(v for v, c in entries.items() if c == value)
-    # a blowup at a point on two components with coefficients c, c' yields a
-    # curve of coefficient c + c' - 1; at eps = 0 the reported maximum is not
-    # a certified supremum whenever some adjacent pair sums above 1
-    flag = any(
-        w in entries and entries[u] + entries[w] > 1
-        for u in entries
-        for w in model.graph.adjacency[u]
-    )
-    return TotalCoefficient(value, witness, flag)
+    return TotalCoefficient(value, witness, entries, model.graph)

@@ -4,17 +4,18 @@ Determinants use fraction-free (Bareiss) elimination over the integers.
 Linear solves clear denominators first, eliminate fraction-free, then
 back-substitute over the rationals, so no floating point ever enters.
 ``factor_definite`` is the one factorization the model layer uses: a single
-fraction-free pass over ``[M | I]`` whose pivots are the leading minors of
-M (Bareiss 1968), so it tests positive definiteness and, when M passes,
-yields the exact inverse as an integer adjugate over the determinant.
-``solve_int`` and ``leading_minors`` stay as independent oracles.
+fraction-free LU pass over M, without row swaps, whose pivots are the leading
+minors of M (Bareiss 1968), so it tests positive definiteness on the way.
+``solve_factored`` then solves one right-hand side at a time from that
+factor; no inverse or adjugate is ever built.  ``solve_int``,
+``leading_minors`` and ``bareiss_det`` stay as independent oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 
 def bareiss_det(m: list[list[int]]) -> int:
@@ -86,33 +87,53 @@ def solve_int(m: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
 
 
 def factor_definite(m: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
-    """(d, adj) with d = det(m) and m^-1 = adj / d for a positive definite
-    symmetric integer matrix m; None when m is not positive definite.
+    """(d, lu) with d = det(m) for a positive definite symmetric integer
+    matrix m; None when m is not positive definite.
 
-    One Bareiss pass over [m | I] without row swaps: the k-th pivot is the
-    k-th leading minor, so the pass stops at the first pivot <= 0.  The
-    back-substitution works on d * x, an integer by Cramer's rule, so each
-    division in it is exact.
+    One Bareiss pass over m without row swaps: the k-th pivot is the k-th
+    leading minor, so the pass stops at the first pivot <= 0.  ``lu`` holds
+    the eliminated rows on and above the diagonal and, below it, the
+    multiplier each step used (the entry it would have zeroed), which is
+    all ``solve_factored`` needs to replay the pass on a right-hand side.
     """
     n = len(m)
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    a = [row[:] for row in m]
     prev = 1
     for k in range(n):
-        p = a[k][k]
+        row_k = a[k]
+        p = row_k[k]
         if p <= 0:
             return None
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, 2 * n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * p - aik * row_k[j]) // prev
-            row_i[k] = 0
         prev = p
-    d = prev
-    x = [[0] * n for _ in range(n)]  # x[i][c] = d * (m^-1)[i][c]
+    return prev, a
+
+
+def solve_factored(d: int, lu: list[list[int]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """x with m x = rhs, for (d, lu) = factor_definite(m).
+
+    The rhs is scaled to integers b and the Bareiss steps are replayed on
+    it; each division is exact, since every entry is then a minor of
+    [m | b].  The back-substitution works on d * x, an integer vector by
+    Cramer's rule, so each division in it is exact too.
+    """
+    n = len(lu)
+    scale = lcm(*(c.denominator for c in rhs))
+    b = [c.numerator * (scale // c.denominator) for c in rhs]
+    prev = 1
+    for k in range(n - 1):
+        p, bk = lu[k][k], b[k]
+        for i in range(k + 1, n):
+            b[i] = (b[i] * p - lu[i][k] * bk) // prev
+        prev = p
+    x = [0] * n  # x[i] = d * scale * (m^-1 rhs)[i]
     for i in range(n - 1, -1, -1):
-        row = a[i]
-        for c in range(n):
-            s = d * row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))
-            x[i][c] = s // row[i]
-    return d, x
+        row = lu[i]
+        s = d * b[i] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = s // row[i]
+    den = d * scale
+    return [Fraction(v, den) for v in x]

@@ -86,6 +86,19 @@ def test_rational_fields_take_int_or_fraction():
     v = Vertex("a", 2, decoration=1, boundary=F(1, 3))
     assert (v.decoration, v.boundary) == (F(1), F(1, 3))
     assert type(v.decoration) is F
+    # an exact Fraction is kept; a subclass of it still becomes a Fraction
+    third = F(1, 3)
+    assert Vertex("a", 2, boundary=third).boundary is third
+
+    class Sub(F):
+        pass
+
+    w = Vertex("a", 2, decoration=Sub(1, 2), boundary=Sub(1, 2))
+    assert type(w.decoration) is F and type(w.boundary) is F
+    with pytest.raises(CoeffOutOfRange, match="decoration -1/2 of 'a' negative"):
+        Vertex("a", 2, decoration=F(-1, 2))
+    with pytest.raises(CoeffOutOfRange, match=r"boundary coefficient 3/2 of 'a' not in \[0,1\]"):
+        Vertex("a", 2, boundary=F(3, 2))
     # 0.1 would have been 3602879701896397/36028797018963968
     with pytest.raises(ValidationError, match="boundary must be an integer or a Fraction"):
         Vertex("a", 2, boundary=0.1)

@@ -19,6 +19,7 @@ from logsurf import (
     coefficient_divisor_uniform,
     coefficients_linear,
     discriminant,
+    eps_check,
     split_discriminant,
     total_coefficient,
     tree_coefficient_identity,
@@ -115,6 +116,36 @@ def test_chain_data_rejects_non_chains():
     g = fork_graph(2, (2,), (2,), (2,))
     with pytest.raises(NotAChain):
         chain_data(g, g.ids)
+    double = DualGraph((Vertex("a", 3), Vertex("b", 3)), (Edge("a", "b", 2),))
+    with pytest.raises(NotAChain):
+        chain_data(double, ("a", "b"))
+
+
+def test_chain_data_equals_discriminants_of_the_sub_chains():
+    # the continuants must give every d, d_lower and d_upper entry that the
+    # Bareiss discriminant gives; weights -1..5 make zero and negative
+    # discriminants occur, and a curve hung off the chain must not count
+    rng = random.Random(41)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(300):
+        m = rng.randint(0, 10)
+        ids = [f"c{i}" for i in range(m)]
+        rng.shuffle(ids)  # the chain order is not the sorted order
+        vs = [Vertex(v, rng.randint(-1, 5)) for v in ids]
+        es = [Edge(ids[i], ids[i + 1]) for i in range(m - 1)]
+        if m and rng.random() < 0.3:
+            vs.append(Vertex("x", rng.randint(-1, 5)))
+            es.append(Edge("x", rng.choice(ids)))
+        g = DualGraph(tuple(vs), tuple(es))
+        cd = chain_data(g, ids)
+        assert cd.vertices == tuple(ids)
+        assert cd.d == discriminant(g, ids)
+        assert cd.d_lower == tuple(discriminant(g, ids[:i]) for i in range(m))
+        assert cd.d_upper == tuple(discriminant(g, ids[i:]) for i in range(1, m + 1))
+        assert cd.d_prime == (cd.d_upper[0] if m else 0)
+        for x in (cd.d, *cd.d_lower, *cd.d_upper):
+            signs[(x > 0) - (x < 0)] += 1
+    assert min(signs.values()) >= 30, signs
 
 
 def test_delta_plus_inductance_below_one_unless_all_two():
@@ -333,6 +364,10 @@ def test_total_coefficient_examples():
     tc2 = total_coefficient(model(g2))
     assert tc2.value == 1
     assert tc2.may_underreport_at_eps0  # a blowup at the crossing has ld = 0
+    assert not tc.may_underreport_at_eps0  # both coefficients are at most 2/5
+    # the flag only matters at eps = 0: there the verdict is not exact
+    assert not eps_check(model(g2), 0).exact
+    assert eps_check(model(g2), F(1, 10)).exact
     # du Val, no boundary
     tc3 = total_coefficient(model(fork_graph(2, (2,), (2,), (2,)), contracted=None or ()))
     assert tc3.value == 0

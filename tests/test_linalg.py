@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsurf.linalg import bareiss_det, factor_definite, leading_minors, solve_int
+from logsurf.linalg import bareiss_det, factor_definite, leading_minors, solve_factored, solve_int
 
 
 def naive_det(m):
@@ -54,6 +54,7 @@ def test_factor_definite_is_the_minors_test_and_the_inverse():
     # symmetric integer matrices, about a third of them positive definite;
     # the others have a zero or negative leading minor somewhere
     rng = random.Random(5)
+    rhs_rng = random.Random(6)  # its own stream, so the matrices stay the same
     seen = {"definite": 0, "zero minor": 0, "negative minor": 0}
     for _ in range(600):
         n = rng.randint(0, 6)
@@ -67,16 +68,24 @@ def test_factor_definite_is_the_minors_test_and_the_inverse():
             seen["zero minor" if 0 in minors else "negative minor"] += 1
             continue
         seen["definite"] += 1
-        d, adj = f
+        d, lu = f
         assert d == bareiss_det(m)
+        # the pivots on the diagonal are the leading minors
+        assert [lu[k][k] for k in range(n)] == minors
         for c in range(n):
             unit = [Fraction(int(i == c)) for i in range(n)]
-            assert [Fraction(adj[i][c], d) for i in range(n)] == solve_int(m, unit)
+            assert solve_factored(d, lu, unit) == solve_int(m, unit)
+        rhs = [Fraction(rhs_rng.randint(-9, 9), rhs_rng.randint(1, 12)) for _ in range(n)]
+        assert solve_factored(d, lu, rhs) == solve_int(m, rhs)
     assert min(seen.values()) >= 30, seen
 
 
 def test_factor_definite_small_cases():
     assert factor_definite([]) == (1, [])
-    assert factor_definite([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+    assert solve_factored(1, [], []) == []
+    d, lu = factor_definite([[2, -1], [-1, 2]])
+    assert (d, lu) == (3, [[2, -1], [-1, 3]])  # the multiplier -1 stays below the pivot
+    assert solve_factored(d, lu, [Fraction(1), Fraction(0)]) == [Fraction(2, 3), Fraction(1, 3)]
+    assert solve_factored(d, lu, [Fraction(1, 2), Fraction(-1, 3)]) == [Fraction(2, 9), Fraction(-1, 18)]
     assert factor_definite([[0, 1], [1, 2]]) is None  # zero first pivot, no row swap
     assert factor_definite([[1, 2], [2, 1]]) is None  # negative second minor
