@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -55,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(path: str) -> LogSurfaceModel:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
@@ -336,6 +338,20 @@ def run_command(command: str, model: LogSurfaceModel, args) -> tuple[dict[str, A
     return _TABLE[command][0](model, args)
 
 
+def _write_out(path: str, out: str) -> None:
+    """Write the report over the file at ``path`` in place, as UTF-8, then
+    cut a regular file to the report's length.  Opening without O_TRUNC
+    keeps the old report's blocks for the new one, which costs far less
+    than freeing and allocating them on every call."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(out.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise LogSurfError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -362,12 +378,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"a report number has more than {sys.get_int_max_str_digits()} digits"
             ) from None
         if args.out:
-            try:
-                Path(args.out).write_text(out)
-            except OSError as exc:
-                raise LogSurfError(f"cannot write --out {args.out}: {exc.strerror}") from None
+            _write_out(args.out, out)
         else:
-            sys.stdout.write(out)
+            try:
+                sys.stdout.write(out)
+            except UnicodeEncodeError as exc:
+                raise LogSurfError(
+                    f"cannot write the report to stdout ({exc.encoding}): {exc.reason};"
+                    " use --json or --out"
+                ) from None
         return 0
     except LogSurfError as exc:
         print(f"error: {exc}", file=sys.stderr)

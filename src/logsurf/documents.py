@@ -18,16 +18,18 @@ from typing import Any
 from .errors import ParseError, ValidationError, LogSurfError
 from .graph import DualGraph, Edge, LogSurfaceModel, Vertex
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: Any, where: str = "") -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"{where or 'value'}: expected an exact rational 'p/q', got {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise ParseError(f"{where or 'value'}: zero denominator in {text!r}") from None
     except ValueError:  # beyond the interpreter's limit on integer digits
@@ -37,7 +39,8 @@ def parse_rational(text: Any, where: str = "") -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -1,4 +1,10 @@
+import errno
 import json
+import os
+import random
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -52,6 +58,48 @@ def test_rational_parsing():
         parse_rational("0.5")
     with pytest.raises(ParseError):
         parse_rational("1/2.0")
+
+
+def _parse_rational_by_two_parses(text, where):
+    """The reader as it was: a regex match, then Fraction(str) on the text."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return F(text)
+    if not isinstance(text, str) or not re.match(r"^-?\d+(/\d+)?$", text.strip()):
+        raise ParseError(f"{where or 'value'}: expected an exact rational 'p/q', got {text!r}")
+    try:
+        return F(text.strip())
+    except ZeroDivisionError:
+        raise ParseError(f"{where or 'value'}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise ParseError(f"{where or 'value'}: more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def test_parse_rational_equals_fraction_of_the_text():
+    # seeded strings over the characters of a rational and of near misses
+    # (a sign, a point, an exponent, an underscore, white space, non-ASCII
+    # decimal digits, a superscript), plus numbers at the digit limit: each
+    # must give Fraction(text) or the error, class and message, of the reader
+    # that parsed the text twice
+    rng = random.Random(67)
+    alphabet = "0123456789" * 4 + "//--+._e \n\u0663\uff13\u00b2x"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9))) for _ in range(4000)]
+    texts += [rng.choice(("", "-")) + "7" * rng.choice((4300, 4301)) + rng.choice(("", "/0", "/3"))
+              for _ in range(40)]
+    texts += ["1/" + "0" * 4301, "0/0", "-0", "3\n", True, False, None, 1.5, 7, -2, ["1"]]
+    outcome = dict.fromkeys(("value", "expected", "zero denominator", "digits"), 0)
+    for text in texts:
+        try:
+            want = _parse_rational_by_two_parses(text, "x")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_rational(text, "x")
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            outcome[next(k for k in list(outcome)[1:] if k in str(exc))] += 1
+        else:
+            got = parse_rational(text, "x")
+            assert type(got) is F and got == want
+            outcome["value"] += 1
+    assert min(outcome.values()) >= 10, outcome
 
 
 def test_round_trip():
@@ -375,6 +423,77 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["result"]["all"] == 4
+
+
+def _stdout_report(capsys, *args):
+    assert main(list(args)) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("first, second", [("analyze", "discriminant"), ("discriminant", "analyze")])
+def test_out_overwrites_in_place_with_exactly_the_new_report(capsys, tmp_path, first, second):
+    # the report is written over the old one and the file is cut to its
+    # length, so a shorter report leaves no tail of a longer one
+    target = tmp_path / "report.txt"
+    sizes = {}
+    for command in (first, second):
+        args = [command, str(FIXDIR / "cuspidal_cubic.json"), "--r", "1/2"]
+        want = _stdout_report(capsys, *args)
+        assert main(args + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == want
+        sizes[command] = len(want)
+    assert sizes["analyze"] > 2 * sizes["discriminant"]
+
+
+def test_out_to_non_regular_files_is_written_and_not_cut(capsys, tmp_path):
+    args = ["coeffs", str(FIXDIR / "rod_3_2.json"), "--json"]
+    assert main(args + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not wait
+    try:
+        code = main(args + ["--out", str(fifo)])
+        os.set_blocking(reader, True)
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert data == _stdout_report(capsys, *args)
+
+
+def test_out_errors_keep_their_messages(capsys, tmp_path):
+    for target, code in ((tmp_path, errno.EISDIR), (tmp_path / "missing" / "r.json", errno.ENOENT)):
+        assert main(["coeffs", str(FIXDIR / "d4.json"), "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write --out {target}: {os.strerror(code)}\n"
+
+
+def test_documents_and_out_reports_are_utf8_under_an_ascii_locale(tmp_path):
+    # the locale's encoding is ASCII here: the document is still read as
+    # UTF-8 and --out still gets UTF-8, while a text report that stdout
+    # cannot encode is a domain error, not a traceback
+    doc = tmp_path / "e.json"
+    doc.write_bytes('{"vertices": [{"id": "\u00e9", "weight": 2}], "contracted": ["\u00e9"]}'.encode())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "logsurf.cli", "coeffs", str(doc), *args],
+                              env=env, capture_output=True, cwd=tmp_path)
+
+    target = tmp_path / "report.txt"
+    done = run("--out", str(target))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == "cf(\u00e9) = 0   ld = 1\n".encode("utf-8")
+    done = run()
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.startswith(b"error: cannot write the report to stdout (ascii)")
+    assert b"Traceback" not in done.stderr
+    done = run("--json")
+    assert done.returncode == 0 and b'"cf": {\n      "\\u00e9": "0"' in done.stdout
 
 
 def test_enumerate_runs_fixture(capsys):

@@ -5,7 +5,9 @@ for the document's own boundary as well as r = 1/2 (14 fixtures x 13
 commands x 2 kinds x 2 r values = 728 calls), once with ``--json`` and once
 with the text output.  The fixture path in the output is replaced by its
 basename, and stdout, stderr and the exit code of each call are hashed into
-one SHA-256 per output kind.  A change that must leave every report as it is
+one SHA-256 per output kind.  The ``--json`` calls are hashed once more
+through one reused ``--out`` file, whose bytes stand in for stdout and must
+give the same digest.  A change that must leave every report as it is
 keeps both digests; a change that alters a report on purpose records the new
 digest here and says why.
 """
@@ -23,9 +25,10 @@ DIGESTS = {
 }
 
 
-def _digest(capsys, output):
+def _digest(capsys, output, out_file=None):
     h = hashlib.sha256()
     calls = 0
+    written = b""
     for path in sorted(FIXDIR.glob("*.json")):
         for command in COMMANDS:
             for kind in ("first", "second"):
@@ -35,9 +38,17 @@ def _digest(capsys, output):
                         argv.append("--json")
                     if r is not None:
                         argv += ["--r", r]
+                    if out_file is not None:
+                        argv += ["--out", str(out_file)]
                     code = main(argv)
                     out = capsys.readouterr()
-                    for part in (path.name, command, kind, str(r), str(code), out.out, out.err):
+                    report = out.out
+                    if out_file is not None:  # a failed call leaves the file as it was
+                        assert report == ""
+                        before, written = written, out_file.read_bytes()
+                        report = written.decode("utf-8") if code == 0 else ""
+                        assert code == 0 or written == before
+                    for part in (path.name, command, kind, str(r), str(code), report, out.err):
                         h.update(part.replace(str(path), path.name).encode())
                         h.update(b"\0")
                     calls += 1
@@ -51,3 +62,9 @@ def test_cli_reports_are_byte_identical(capsys):
 
 def test_cli_text_reports_are_byte_identical(capsys):
     assert _digest(capsys, "text") == DIGESTS["text"]
+
+
+def test_cli_reports_written_through_one_out_file_are_byte_identical(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    out_file.write_bytes(b"")
+    assert _digest(capsys, "json", out_file) == DIGESTS["json"]
