@@ -342,12 +342,23 @@ def _write_out(path: str, out: str) -> None:
     """Write the report over the file at ``path`` in place, as UTF-8, then
     cut a regular file to the report's length.  Opening without O_TRUNC
     keeps the old report's blocks for the new one, which costs far less
-    than freeing and allocating them on every call."""
+    than freeing and allocating them on every call.  The report is encoded
+    before the file is opened, and a regular file is cut where the write
+    stopped even when it fails partway, so no tail of the old report is
+    left behind the new one."""
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(out.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        data = memoryview(out.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise LogSurfError(f"cannot write --out {path} ({exc.encoding}): {exc.reason}") from None
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                while data:
+                    data = data[fh.write(data):]
+            finally:
+                if regular:
+                    fh.truncate()
     except OSError as exc:
         raise LogSurfError(f"cannot write --out {path}: {exc.strerror}") from None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -38,18 +38,11 @@ Subdivisor = dict[str, Fraction]
 
 
 def discriminant(graph: DualGraph, S: Iterable[str]) -> int:
-    """d(S) = det(-Q|S); d(empty) = 1.
-
-    When -Q|S is positive definite, d(S) is the product of the last pivots
-    of the cached factors of its components; only other sets pay for a
-    determinant of their own."""
+    """d(S) = det(-Q|S); d(empty) = 1."""
     ids = sorted(set(S))
     for v in ids:
         graph.vertex(v)
-    blocks = graph.blocks(frozenset(ids))
-    if blocks is None:
-        return bareiss_det(graph.neg_q(ids))
-    return prod(d for _order, d, _lu in blocks.values())
+    return bareiss_det(graph.neg_q(ids))
 
 
 def split_discriminant(

@@ -471,6 +471,46 @@ def test_out_errors_keep_their_messages(capsys, tmp_path):
         assert out.err == f"error: cannot write --out {target}: {os.strerror(code)}\n"
 
 
+def test_out_report_that_utf8_cannot_hold_leaves_the_file_alone(capsys, tmp_path):
+    # JSON admits a lone surrogate in an id; a text report holding it cannot
+    # be UTF-8, so the call fails before the target is opened
+    doc = tmp_path / "s.json"
+    doc.write_text('{"vertices": [{"id": "\\ud800", "weight": 2}], "contracted": ["\\ud800"]}')
+    old, missing = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_bytes(b"the old report\n")
+    for target in (old, missing):
+        assert main(["coeffs", str(doc), "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot write --out {target} (utf-8): surrogates")
+    assert old.read_bytes() == b"the old report\n"
+    assert not missing.exists()
+    assert main(["coeffs", str(doc), "--json", "--out", str(missing)]) == 0
+    assert '"\\ud800": "0"' in missing.read_text()
+
+
+def test_out_write_that_fails_partway_leaves_no_old_tail(tmp_path):
+    # a file-size limit stops the write after 200 bytes: the file is cut
+    # there and holds the start of the new report, not the old report's tail
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"x" * 5000)
+    args = ["analyze", str(FIXDIR / "cuspidal_cubic.json"), "--r", "1/2", "--out", str(target)]
+    script = (
+        "import resource, signal, sys\n"
+        "from logsurf.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True)
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == f"error: cannot write --out {target}: {os.strerror(errno.EFBIG)}\n".encode()
+    assert main(args[:-2] + ["--out", str(tmp_path / "whole.txt")]) == 0
+    whole = (tmp_path / "whole.txt").read_bytes()
+    assert len(whole) > 200 and target.read_bytes() == whole[:200]
+
+
 def test_documents_and_out_reports_are_utf8_under_an_ascii_locale(tmp_path):
     # the locale's encoding is ASCII here: the document is still read as
     # UTF-8 and --out still gets UTF-8, while a text report that stdout
