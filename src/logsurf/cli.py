@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -20,7 +19,7 @@ from typing import Any, Callable, Optional
 
 from . import mmp
 from .classify import classify_germ, classify_half, duval_type, eps_check
-from .documents import format_rational, parse_document, parse_rational, to_dot
+from .documents import format_rational, json_text, parse_document, parse_rational, to_dot
 from .errors import CoeffOutOfRange, LogSurfError, NotApplicable, ParseError, TooLarge
 from .graph import LogSurfaceModel
 from .invariants import (
@@ -57,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(path: str) -> LogSurfaceModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
@@ -70,14 +70,17 @@ def _load_model(path: str) -> LogSurfaceModel:
 def _json(x: Any) -> Any:
     """The report form of a library value: rationals as "p/q" strings, sets
     as sorted lists, dataclasses as objects in field order."""
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is str or t is int or t is bool or x is None:
+        return x
+    if isinstance(x, dict):
+        return {k: _json(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_json(v) for v in x]
+    if t is Fraction or isinstance(x, Fraction):
         return format_rational(x)
     if isinstance(x, (set, frozenset)):
         return [_json(v) for v in sorted(x)]
-    if isinstance(x, (tuple, list)):
-        return [_json(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _json(v) for k, v in x.items()}
     if is_dataclass(x):
         return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
     return x
@@ -371,7 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             model = LogSurfaceModel(
                 model.graph, model.contracted, parse_rational(args.r, "--r")
             )
-        try:  # the report's numbers become text here and in json.dumps
+        try:  # the report's numbers become text here and in json_text
             result, text = run_command(args.command, model, args)
             payload: dict[str, Any] = {"command": args.command, "input": args.model}
             if _TABLE[args.command][1]:
@@ -379,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "r": args.r, "kind": args.kind, "eps": args.eps, "strategy": args.strategy
                 }
             payload["result"] = result
-            out = json.dumps(payload, indent=2) + "\n" if args.json else text.rstrip("\n") + "\n"
+            out = json_text(payload) + "\n" if args.json else text.rstrip("\n") + "\n"
         except ValueError as exc:
             # only an integer beyond the interpreter's digit limit is a domain
             # error; any other ValueError is a fault of the program

@@ -13,29 +13,30 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 from .errors import ParseError, ValidationError, LogSurfError
-from .graph import DualGraph, Edge, LogSurfaceModel, Vertex
+from .graph import ZERO, DualGraph, Edge, LogSurfaceModel, Vertex
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def parse_rational(text: Any, where: str = "") -> Fraction:
+def parse_rational(text: Any, where: str = "", *at: Any) -> Fraction:
+    """An exact rational from an int or a "p/q" text; an error names it by where.format(*at)."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
-    if match is None:
-        raise ParseError(f"{where or 'value'}: expected an exact rational 'p/q', got {text!r}")
-    num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        if match is not None:
+            num, den = match.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        problem = f"expected an exact rational 'p/q', got {text!r}"
     except ZeroDivisionError:
-        raise ParseError(f"{where or 'value'}: zero denominator in {text!r}") from None
+        problem = f"zero denominator in {text!r}"
     except ValueError:  # beyond the interpreter's limit on integer digits
-        raise ParseError(
-            f"{where or 'value'}: more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        problem = f"more than {sys.get_int_max_str_digits()} digits"
+    raise ParseError(f"{(where.format(*at) if at else where) or 'value'}: {problem}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -47,23 +48,25 @@ def format_rational(q: Fraction) -> str:
 _KIND_NAMES = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
 
 
-def _typed(value: Any, kind: type, where: str) -> Any:
-    # bool is a subclass of int, but true/false are not integers here
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ParseError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
-    return value
+def _typed(value: Any, kind: type, where: str, *at: Any) -> Any:
+    # an error names the value by where.format(*at); bool is a subclass of
+    # int, but true/false are not integers here
+    if type(value) is kind or (isinstance(value, kind) and not isinstance(value, bool)):
+        return value
+    raise ParseError(f"{where.format(*at)}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
-_ROOT_KEYS = ("name", "reference", "uniform_r", "vertices", "edges", "contracted")
-_VERTEX_KEYS = ("id", "weight", "genus", "decoration", "boundary")
-_EDGE_KEYS = ("a", "b", "m")
+_ROOT_KEYS = frozenset(("name", "reference", "uniform_r", "vertices", "edges", "contracted"))
+_VERTEX_KEYS = frozenset(("id", "weight", "genus", "decoration", "boundary"))
+_EDGE_KEYS = frozenset(("a", "b", "m"))
 
 
-def _object(value: Any, keys: tuple[str, ...], where: str) -> dict:
-    _typed(value, dict, where)
-    for key in value:
-        if key not in keys:
-            raise ParseError(f"{where}: unknown field {key!r}")
+def _object(value: Any, keys: frozenset, where: str, *at: Any) -> dict:
+    if type(value) is not dict or not value.keys() <= keys:
+        _typed(value, dict, where, *at)
+        for key in value:
+            if key not in keys:
+                raise ParseError(f"{where.format(*at)}: unknown field {key!r}")
     return value
 
 
@@ -73,37 +76,39 @@ def model_from_dict(doc: dict) -> LogSurfaceModel:
     _object(doc, _ROOT_KEYS, "document root")
     if "vertices" not in doc:
         raise ParseError("missing field 'vertices'")
+    for key in ("name", "reference"):
+        if key in doc:
+            _typed(doc[key], str, key)
     vertices = []
     for i, rv in enumerate(_typed(doc["vertices"], list, "vertices")):
-        where = f"vertices[{i}]"
-        _object(rv, _VERTEX_KEYS, where)
+        _object(rv, _VERTEX_KEYS, "vertices[{}]", i)
         if "id" not in rv or "weight" not in rv:
-            raise ParseError(f"{where}: needs 'id' and 'weight'")
+            raise ParseError(f"vertices[{i}]: needs 'id' and 'weight'")
+        dec, bd = rv.get("decoration", ZERO), rv.get("boundary", ZERO)
         vertices.append(
             Vertex(
-                id=_typed(rv["id"], str, f"{where}.id"),
-                weight=_typed(rv["weight"], int, f"{where}.weight"),
-                genus=_typed(rv.get("genus", 0), int, f"{where}.genus"),
-                decoration=parse_rational(rv.get("decoration", 0), f"{where}.decoration"),
-                boundary=parse_rational(rv.get("boundary", 0), f"{where}.boundary"),
+                _typed(rv["id"], str, "vertices[{}].id", i),
+                _typed(rv["weight"], int, "vertices[{}].weight", i),
+                _typed(rv.get("genus", 0), int, "vertices[{}].genus", i),
+                dec if dec is ZERO else parse_rational(dec, "vertices[{}].decoration", i),
+                bd if bd is ZERO else parse_rational(bd, "vertices[{}].boundary", i),
             )
         )
     edges = []
     for i, re_ in enumerate(_typed(doc.get("edges", []), list, "edges")):
-        where = f"edges[{i}]"
-        _object(re_, _EDGE_KEYS, where)
+        _object(re_, _EDGE_KEYS, "edges[{}]", i)
         if "a" not in re_ or "b" not in re_:
-            raise ParseError(f"{where}: needs 'a' and 'b'")
+            raise ParseError(f"edges[{i}]: needs 'a' and 'b'")
         edges.append(
             Edge(
-                _typed(re_["a"], str, f"{where}.a"),
-                _typed(re_["b"], str, f"{where}.b"),
-                _typed(re_.get("m", 1), int, f"{where}.m"),
+                _typed(re_["a"], str, "edges[{}].a", i),
+                _typed(re_["b"], str, "edges[{}].b", i),
+                _typed(re_.get("m", 1), int, "edges[{}].m", i),
             )
         )
     contracted = _typed(doc.get("contracted", []), list, "contracted")
     for i, c in enumerate(contracted):
-        _typed(c, str, f"contracted[{i}]")
+        _typed(c, str, "contracted[{}]", i)
     uniform = doc.get("uniform_r")
     r = parse_rational(uniform, "uniform_r") if uniform is not None else None
     try:
@@ -115,9 +120,17 @@ def model_from_dict(doc: dict) -> LogSurfaceModel:
         raise ValidationError(str(exc)) from exc
 
 
+def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # JSON allows a repeated field; a document does not
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate field {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def parse_document(text: str) -> LogSurfaceModel:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     except ValueError:  # an integer beyond the interpreter's digit limit
@@ -154,7 +167,27 @@ def model_to_dict(model: LogSurfaceModel, name: str = "", reference: str = "") -
 
 
 def serialize_model(model: LogSurfaceModel, name: str = "") -> str:
-    return json.dumps(model_to_dict(model, name=name), indent=2)
+    return json_text(model_to_dict(model, name=name))
+
+
+def json_text(value: Any, _newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists, str,
+    int, bool and None, and a TypeError for anything else.  With an indent,
+    json.dumps runs its pure-Python encoder; this escapes strings in C."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = _newline + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_escape(k)}: {json_text(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [json_text(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{_newline}{ends[1]}" if items else ends
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +256,7 @@ def load_fixture(name: str) -> FixtureDocument:
         text = resources.files("logsurf.fixtures").joinpath(f"{name}.json").read_text()
     except FileNotFoundError:
         raise ParseError(f"no bundled fixture named {name!r}") from None
-    raw = json.loads(text)
+    raw = json.loads(text, object_pairs_hook=_unique_fields)
     return FixtureDocument(
         name=raw.get("name", name),
         reference=raw.get("reference", ""),

@@ -89,21 +89,23 @@ class Vertex:
     boundary: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        _check_types(
-            f"vertex {self.id!r}",
-            {"id": self.id},
-            {"weight": self.weight, "genus": self.genus},
-            {"decoration": self.decoration, "boundary": self.boundary},
-        )
-        # an exact Fraction is kept as it is: Fraction(x) would rebuild it
-        # through the slow abstract-Rational path
-        if type(self.decoration) is not Fraction:
-            object.__setattr__(self, "decoration", Fraction(self.decoration))
-        if type(self.boundary) is not Fraction:
-            object.__setattr__(self, "boundary", Fraction(self.boundary))
-        if not (0 <= self.boundary <= 1):
+        # exact types pass on one test each and an exact Fraction is kept:
+        # Fraction(x) would rebuild it through the slow abstract-Rational path
+        if not (type(self.id) is str and type(self.weight) is int and type(self.genus) is int
+                and type(self.decoration) is Fraction and type(self.boundary) is Fraction):
+            _check_types(
+                f"vertex {self.id!r}",
+                {"id": self.id},
+                {"weight": self.weight, "genus": self.genus},
+                {"decoration": self.decoration, "boundary": self.boundary},
+            )
+            if type(self.decoration) is not Fraction:
+                object.__setattr__(self, "decoration", Fraction(self.decoration))
+            if type(self.boundary) is not Fraction:
+                object.__setattr__(self, "boundary", Fraction(self.boundary))
+        if not 0 <= self.boundary.numerator <= self.boundary.denominator:
             raise CoeffOutOfRange(f"boundary coefficient {self.boundary} of {self.id!r} not in [0,1]")
-        if self.decoration < 0:
+        if self.decoration.numerator < 0:
             raise CoeffOutOfRange(f"decoration {self.decoration} of {self.id!r} negative")
         if self.genus < 0:
             raise ValidationError(f"genus of {self.id!r} negative")
@@ -118,9 +120,10 @@ class Edge:
     mult: int = 1
 
     def __post_init__(self) -> None:
-        _check_types(
-            f"edge {self.a!r}-{self.b!r}", {"a": self.a, "b": self.b}, {"mult": self.mult}, {}
-        )
+        if not (type(self.a) is str and type(self.b) is str and type(self.mult) is int):
+            _check_types(
+                f"edge {self.a!r}-{self.b!r}", {"a": self.a, "b": self.b}, {"mult": self.mult}, {}
+            )
         if self.a == self.b:
             raise SelfLoop(f"self-loop at {self.a!r} (snc model has none)")
         if self.mult < 1:

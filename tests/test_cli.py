@@ -118,6 +118,25 @@ def test_model_from_dict_rejects_decimals():
         model_from_dict(doc)
 
 
+def test_model_from_dict_takes_subclasses_of_the_json_types():
+    from collections import OrderedDict
+
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    doc = OrderedDict(vertices=[OrderedDict(id=Name("a"), weight=Count(2), boundary=Name("1/2")),
+                                {"id": "b", "weight": 3, "genus": Count(0)}],
+                      edges=[OrderedDict(a=Name("a"), b="b", m=Count(1))], contracted=[Name("a")])
+    want = {"vertices": [{"id": "a", "weight": 2, "boundary": "1/2"}, {"id": "b", "weight": 3}],
+            "edges": [{"a": "a", "b": "b"}], "contracted": ["a"]}
+    assert model_from_dict(doc) == model_from_dict(want)
+    with pytest.raises(ParseError, match=r"^vertices\[1\]: unknown field 'mult'$"):
+        model_from_dict({"vertices": [{"id": "a", "weight": 2}, OrderedDict(id="b", weight=2, mult=1)]})
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -236,6 +255,123 @@ def test_malformed_input_is_domain_error(capsys, tmp_path, doc, field):
     code, _, err = run_cli(capsys, "coeffs", str(path), "--json", "--out", str(out))
     assert code == 2
     assert field in err
+
+
+def _vertex(**fields):
+    return {"vertices": [{"id": "a", "weight": 2, **fields}]}
+
+
+def _edge(**fields):
+    return {"vertices": _TWO, "edges": [{"a": "a", "b": "b", **fields}]}
+
+
+# each malformed document (an object, or raw text or bytes) and the whole of
+# what the reader says about it, "{path}" standing for the document's path:
+# the first ten are the malformed documents of the cli-fixtures benchmark
+_MESSAGES = {
+    "invalid-json": ('{"vertices": [', "not valid JSON: Expecting value: line 1 column 15 (char 14)"),
+    "vertices-number": ({"vertices": 3}, "vertices: expected a list, got 3"),
+    "vertex-not-object": ({"vertices": [3]}, "vertices[0]: expected an object, got 3"),
+    "genus-text": (_vertex(genus="x"), "vertices[0].genus: expected an integer, got 'x'"),
+    "edge-m-text": (_edge(m="x"), "edges[0].m: expected an integer, got 'x'"),
+    "boundary-1/0": (_vertex(boundary="1/0"), "vertices[0].boundary: zero denominator in '1/0'"),
+    "edges-number": ({"vertices": _TWO, "edges": 5}, "edges: expected a list, got 5"),
+    "genus-1.5": (_vertex(genus=1.5), "vertices[0].genus: expected an integer, got 1.5"),
+    "weight-true": (_vertex(weight=True), "vertices[0].weight: expected an integer, got True"),
+    "contracted-string": ({"vertices": _TWO, "edges": [{"a": "a", "b": "b"}], "contracted": "ab"},
+                          "contracted: expected a list, got 'ab'"),
+    "empty": ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "bom": (b'\xef\xbb\xbf{"vertices": []}',
+            "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "not-utf-8": (b'{"vertices": [{"id": "\xff", "weight": 2}]}', "{path} is not UTF-8 text: invalid start byte"),
+    "duplicate-field": ('{"vertices":[{"id":"a","weight":2,"weight":3}],"contracted":["a"]}',
+                        "duplicate field 'weight'"),
+    "duplicate-root-field": ('{"vertices":[],"vertices":[{"id":"a","weight":2}]}',
+                             "duplicate field 'vertices'"),
+    "root-list": ([1], "document root: expected an object, got [1]"),
+    "root-unknown-field": ({"vertices": _TWO, "uniform": "1/2"}, "document root: unknown field 'uniform'"),
+    "no-vertices": ({"edges": []}, "missing field 'vertices'"),
+    "name-number": ({"name": 5, "vertices": _TWO}, "name: expected a string, got 5"),
+    "reference-list": ({"reference": ["x"], "vertices": _TWO}, "reference: expected a string, got ['x']"),
+    "uniform_r-float": ({"vertices": _TWO, "uniform_r": 0.5},
+                        "uniform_r: expected an exact rational 'p/q', got 0.5"),
+    "uniform_r-true": ({"vertices": _TWO, "uniform_r": True},
+                       "uniform_r: expected an exact rational 'p/q', got True"),
+    "uniform_r-3/2": ({"vertices": _TWO, "uniform_r": "3/2"}, "uniform coefficient 3/2 not in [0,1]"),
+    "vertices-object": ({"vertices": {}}, "vertices: expected a list, got {}"),
+    "vertex-list": ({"vertices": [[]]}, "vertices[0]: expected an object, got []"),
+    "vertex-unknown-field": (_vertex(genes=1), "vertices[0]: unknown field 'genes'"),
+    "no-id": ({"vertices": [{"weight": 2}]}, "vertices[0]: needs 'id' and 'weight'"),
+    "no-weight": ({"vertices": [{"id": "a"}]}, "vertices[0]: needs 'id' and 'weight'"),
+    "id-number": ({"vertices": [{"id": 1, "weight": 2}]}, "vertices[0].id: expected a string, got 1"),
+    "id-null": ({"vertices": [{"id": None, "weight": 2}]}, "vertices[0].id: expected a string, got None"),
+    "weight-text": (_vertex(weight="2"), "vertices[0].weight: expected an integer, got '2'"),
+    "weight-float": (_vertex(weight=2.0), "vertices[0].weight: expected an integer, got 2.0"),
+    "genus-false": (_vertex(genus=False), "vertices[0].genus: expected an integer, got False"),
+    "genus-negative": (_vertex(genus=-1), "genus of 'a' negative"),
+    "decoration-float": (_vertex(decoration=0.5),
+                         "vertices[0].decoration: expected an exact rational 'p/q', got 0.5"),
+    "decoration-true": (_vertex(decoration=True),
+                        "vertices[0].decoration: expected an exact rational 'p/q', got True"),
+    "decoration-list": (_vertex(decoration=["1"]),
+                        "vertices[0].decoration: expected an exact rational 'p/q', got ['1']"),
+    "decoration-decimal": (_vertex(decoration="0.5"),
+                           "vertices[0].decoration: expected an exact rational 'p/q', got '0.5'"),
+    "decoration-negative": (_vertex(decoration="-1/2"), "decoration -1/2 of 'a' negative"),
+    "boundary-null": (_vertex(boundary=None),
+                      "vertices[0].boundary: expected an exact rational 'p/q', got None"),
+    "boundary-3/2": (_vertex(boundary="3/2"), "boundary coefficient 3/2 of 'a' not in [0,1]"),
+    "boundary-negative": (_vertex(boundary=-1), "boundary coefficient -1 of 'a' not in [0,1]"),
+    "edges-object": ({"vertices": _TWO, "edges": {}}, "edges: expected a list, got {}"),
+    "edge-text": ({"vertices": _TWO, "edges": ["ab"]}, "edges[0]: expected an object, got 'ab'"),
+    "edge-unknown-field": (_edge(mult=2), "edges[0]: unknown field 'mult'"),
+    "no-a": ({"vertices": _TWO, "edges": [{"b": "b"}]}, "edges[0]: needs 'a' and 'b'"),
+    "no-b": ({"vertices": _TWO, "edges": [{"a": "a"}]}, "edges[0]: needs 'a' and 'b'"),
+    "a-number": (_edge(a=1), "edges[0].a: expected a string, got 1"),
+    "b-null": (_edge(b=None), "edges[0].b: expected a string, got None"),
+    "m-true": (_edge(m=True), "edges[0].m: expected an integer, got True"),
+    "m-zero": (_edge(m=0), "edge a-b with multiplicity 0"),
+    "self-loop": (_edge(b="a"), "self-loop at 'a' (snc model has none)"),
+    "dangling-edge": (_edge(b="c"), "edge a-c references an unknown vertex"),
+    "duplicate-id": ({"vertices": [{"id": "a", "weight": 2}, {"id": "a", "weight": 3}]},
+                     "duplicate vertex id 'a'"),
+    "two-edges": ({"vertices": _TWO, "edges": [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]},
+                  "two edges between 'a' and 'b'"),
+    "contracted-number": ({"vertices": _TWO, "contracted": [1]},
+                          "contracted[0]: expected a string, got 1"),
+    "contracted-unknown": ({"vertices": _TWO, "contracted": ["c"]}, "no vertex 'c'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", list(_MESSAGES.values()), ids=list(_MESSAGES))
+def test_reader_messages_are_exact(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert run_cli(capsys, "coeffs", str(path), "--json") == (
+        2, "", "error: " + message.replace("{path}", str(path)) + "\n"
+    )
+
+
+def test_unreadable_document_and_unwritable_out_messages_are_exact(capsys, tmp_path):
+    d4, out = str(FIXDIR / "d4.json"), tmp_path / "missing" / "r.json"
+    for argv, message in (
+        ([str(tmp_path / "none.json")], f"no such file: {tmp_path / 'none.json'}"),
+        ([str(tmp_path)], f"cannot read {tmp_path}: {os.strerror(errno.EISDIR)}"),
+        ([d4, "--json", "--out", str(out)], f"cannot write --out {out}: {os.strerror(errno.ENOENT)}"),
+    ):
+        assert run_cli(capsys, "coeffs", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fixture", ["d4", "cuspidal_cubic", "amm_not_dlt"])
+def test_crlf_document_gives_the_same_report(capsys, tmp_path, fixture):
+    crlf = tmp_path / f"{fixture}.json"
+    crlf.write_bytes((FIXDIR / f"{fixture}.json").read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    for command in ("analyze", "amm"):
+        want = run_cli(capsys, command, str(FIXDIR / f"{fixture}.json"), "--json")
+        got = run_cli(capsys, command, str(crlf), "--json")
+        assert want[0] == 0 and got == (0, want[1].replace(str(FIXDIR), str(tmp_path)), "")
 
 
 @pytest.mark.parametrize(

@@ -55,20 +55,25 @@ def test_coeff_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: Vertex("a", 5 / 2),
-        lambda: Vertex("a", True),
-        lambda: Vertex("a", 2, genus=1.0),
-        lambda: Vertex(1, 2),
-        lambda: Edge("a", "b", 2.0),
-        lambda: Edge("a", "b", True),
-        lambda: Edge("a", 1),
-        lambda: Vertex("a", 2, boundary=0.1),
-        lambda: Vertex("a", 2, boundary=True),
-        lambda: Vertex("a", 2, decoration=0.5),
-        lambda: Vertex("a", 2, decoration=False),
-        lambda: Vertex("a", 2, boundary="1/2"),
+        (lambda: Vertex("a", 5 / 2), "vertex 'a': weight must be an integer, got 2.5"),
+        (lambda: Vertex("a", True), "vertex 'a': weight must be an integer, got True"),
+        (lambda: Vertex("a", 2, genus=1.0), "vertex 'a': genus must be an integer, got 1.0"),
+        (lambda: Vertex(1, 2), "vertex 1: id must be a string, got 1"),
+        (lambda: Edge("a", "b", 2.0), "edge 'a'-'b': mult must be an integer, got 2.0"),
+        (lambda: Edge("a", "b", True), "edge 'a'-'b': mult must be an integer, got True"),
+        (lambda: Edge("a", 1), "edge 'a'-1: b must be a string, got 1"),
+        (lambda: Vertex("a", 2, boundary=0.1),
+         "vertex 'a': boundary must be an integer or a Fraction, got 0.1"),
+        (lambda: Vertex("a", 2, boundary=True),
+         "vertex 'a': boundary must be an integer or a Fraction, got True"),
+        (lambda: Vertex("a", 2, decoration=0.5),
+         "vertex 'a': decoration must be an integer or a Fraction, got 0.5"),
+        (lambda: Vertex("a", 2, decoration=False),
+         "vertex 'a': decoration must be an integer or a Fraction, got False"),
+        (lambda: Vertex("a", 2, boundary="1/2"),
+         "vertex 'a': boundary must be an integer or a Fraction, got '1/2'"),
     ],
     ids=[
         "weight-float", "weight-bool", "genus-float", "id-int", "mult-float", "mult-bool",
@@ -76,10 +81,27 @@ def test_coeff_out_of_range():
         "boundary-str",
     ],
 )
-def test_non_integer_or_non_string_field_rejected(build):
+def test_non_integer_or_non_string_field_rejected(build, message):
     # a float weight would reach the solver truncated but K.E untruncated
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         build()
+    assert str(err.value) == message
+
+
+def test_subclasses_of_str_and_int_are_accepted():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    v = Vertex(Name("a"), Count(2), Count(1), Count(1), F(1, 2))
+    assert (v.id, v.weight, v.genus, v.decoration, v.boundary) == ("a", 2, 1, F(1), F(1, 2))
+    assert type(v.decoration) is F
+    e = Edge(Name("b"), Name("a"), Count(2))
+    assert (e.a, e.b, e.mult) == ("a", "b", 2)
+    with pytest.raises(CoeffOutOfRange, match=r"^boundary coefficient 3/2 of 'a' not in \[0,1\]$"):
+        Vertex(Name("a"), Count(2), boundary=Count(1) + F(1, 2))
 
 
 def test_rational_fields_take_int_or_fraction():

@@ -1,8 +1,10 @@
 """Property tests (hypothesis): answers that must not depend on how the
 vertices are named, the intersection theory of a model against a whole-block
 ``solve_int`` oracle, the answers cached on a graph against those of a model
-on a new graph, and the coefficients across a blow-up."""
+on a new graph, the coefficients across a blow-up, and the report emitter
+against ``json.dumps``."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +20,11 @@ from logsurf import (
     LogSurfError,
     Vertex,
     blow_up,
+    fixture_corpus,
     is_negative_definite,
+    serialize_model,
 )
+from logsurf.documents import json_text, model_to_dict
 from logsurf.classify import classify_germ, classify_half, duval_type
 from logsurf.linalg import leading_minors, solve_int
 
@@ -237,3 +242,38 @@ def test_blowing_up_a_contracted_point_keeps_the_coefficients(case, data):
     after = LogSurfaceModel(blown, S | {"x"}, r)
     c_b = before.coefficients[b] if b in S else before.coeff(b)
     assert after.coefficients == {**before.coefficients, "x": before.coefficients[a] + c_b - 1}
+
+
+# ---------------------------------------------------------------------------
+# the report emitter
+
+_json_text_strings = st.one_of(
+    st.text(),  # any code point, lone surrogates and control characters among them
+    st.text(st.sampled_from('aé "\\\n\t\x00\x1f\x7f/\U0001f600'), max_size=6),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _json_text_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_json_values)
+def test_json_text_equals_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_keeps_the_digit_limit_and_rejects_other_types():
+    # main turns this ValueError into TooLarge by its message
+    with pytest.raises(ValueError, match="integer string conversion"):
+        json_text({"d": [10**5000]})
+    for value in (1.5, (1, 2), {1, 2}, F(1, 2), {"a": [b"x"]}):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+def test_serialize_model_is_json_dumps_with_indent_2_on_every_fixture():
+    for fx in fixture_corpus():
+        want = json.dumps(model_to_dict(fx.model, name=fx.name), indent=2)
+        assert serialize_model(fx.model, name=fx.name) == want
