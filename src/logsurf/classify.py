@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import NotApplicable, NotLogTerminal, NotMinimal
-from .graph import DualGraph, Fork, LogSurfaceModel, ZERO, _as_fork, _chain_order, find_shapes
+from .graph import DualGraph, Fork, LogSurfaceModel, ZERO, _as_bench, _as_fork, _chain_order
 from .invariants import (
     GermGraph,
     chain_data,
@@ -25,14 +25,6 @@ HALF = Fraction(1, 2)
 class GermClass:
     tag: str
     payload: dict = field(default_factory=dict, compare=False)
-
-
-def _is_chain_graph(graph: DualGraph) -> Optional[tuple[str, ...]]:
-    return _chain_order(graph, frozenset(graph.ids))
-
-
-def _whole_fork(graph: DualGraph) -> Optional[Fork]:
-    return _as_fork(graph, frozenset(graph.ids))
 
 
 def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermClass:
@@ -56,17 +48,17 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
     if any(t != int(t) for t in theta.values()):
         raise NotApplicable("germ contacts must be integral (reduced boundary)")
     contact = sum(int(t) for t in theta.values())
+    whole = frozenset(graph.ids)
 
     if not has_boundary:
         if len(graph.ids) == 1 and graph.vertices[0].genus == 1:
             return GermClass("LC-EllipticCurve", {"vertex": graph.ids[0]})
         if any(v.genus != 0 for v in graph.vertices):
             return GermClass("NotLC")
-        # a chain or a fork holds no cycle, so it needs no shape report
-        order = _is_chain_graph(graph)
+        order = _chain_order(graph, whole)
         if order is not None:
             return GermClass("LT-NoBoundary-Rod", {"chain": order})
-        f = _whole_fork(graph)
+        f = _as_fork(graph, whole)
         if f is not None:
             delta = fork_delta(graph, f)
             if delta > 1:
@@ -74,24 +66,19 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
             if delta == 1 and not _all_minus_two(graph, graph.ids):
                 return GermClass("LC-Fork", _fork_payload(graph, f, delta))
             return GermClass("NotLC")
-        shapes = find_shapes(graph, graph.ids)
-        if shapes.circular:
-            # only a cycle filling the whole germ is on the log canonical list
-            if len(shapes.circular) == 1 and shapes.circular[0] == frozenset(graph.ids):
-                return GermClass("LC-Cycle", {"cycle": tuple(sorted(shapes.circular[0]))})
-            return GermClass("NotLC")
-        for b in shapes.benches:
-            if len(b.central_chain) + 4 == len(graph.ids):
-                if not _all_minus_two(graph, b.central_chain):
-                    return GermClass(
-                        "LC-Bench", {"central_chain": b.central_chain, "feet": b.feet}
-                    )
+        # the germ is one cycle when every curve meets the others at least
+        # twice; a bench is a tree, so a germ with a smaller cycle is no bench
+        if all(sum(graph.adjacency[v].values()) >= 2 for v in whole):
+            return GermClass("LC-Cycle", {"cycle": tuple(sorted(whole))})
+        b = _as_bench(graph, whole)
+        if b is not None and not _all_minus_two(graph, b.central_chain):
+            return GermClass("LC-Bench", {"central_chain": b.central_chain, "feet": b.feet})
         return GermClass("NotLC")
 
     # boundary present: twig / half-bench / segment shapes
     if any(v.genus != 0 for v in graph.vertices):
         return GermClass("NotLC")
-    order = _is_chain_graph(graph)
+    order = _chain_order(graph, whole)
     if contact == 1 and order is not None:
         (vid,) = [v for v, t in theta.items() if t > 0]
         if vid in (order[0], order[-1]):
@@ -134,17 +121,14 @@ def _germ_half_bench(germ: GermGraph) -> Optional[dict]:
     if sum(theta.values()) != 1:
         return None
     (cv,) = [v for v, t in theta.items() if t == 1]
-    order = _is_chain_graph(graph)
+    whole = frozenset(graph.ids)
+    order = _chain_order(graph, whole)
     if order is not None and len(order) == 3:
         a, b, c = order
-        if (
-            graph.vertex(a).weight == 2
-            and graph.vertex(c).weight == 2
-            and cv == b
-        ):
+        if graph.vertex(a).weight == graph.vertex(c).weight == 2 and cv == b:
             return {"central_chain": (b,), "feet": (a, c)}
         return None
-    f = _whole_fork(graph)
+    f = _as_fork(graph, whole)
     if f is None:
         return None
     short = [t for t in f.twigs if len(t) == 1 and graph.vertex(t[0]).weight == 2]
@@ -182,10 +166,10 @@ def duval_type(graph: DualGraph) -> Optional[str]:
     if any(v.decoration != 0 for v in graph.vertices):
         return None
     n = len(graph.ids)
-    order = _is_chain_graph(graph)
-    if order is not None:
+    whole = frozenset(graph.ids)
+    if _chain_order(graph, whole) is not None:
         return f"A_{n}"
-    f = _whole_fork(graph)
+    f = _as_fork(graph, whole)
     if f is None:
         return None
     lengths = sorted(len(t) for t in f.twigs)
@@ -266,18 +250,19 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
     theta = germ.contacts
     boundary = bool(theta)
     ids = graph.ids
+    whole = frozenset(ids)
     n = len(ids)
     if any(v.genus != 0 for v in graph.vertices):
         return None  # the case list holds rational curves only
 
     if not boundary:
         if _all_minus_two(graph, ids):
-            order = _is_chain_graph(graph)
-            f = _whole_fork(graph)
+            order = _chain_order(graph, whole)
+            f = _as_fork(graph, whole)
             if order is not None or (f is not None and fork_delta(graph, f) > 1):
                 return "(1a)", "(1a)", {v: ZERO for v in ids}
             return None
-        order = _is_chain_graph(graph)
+        order = _chain_order(graph, whole)
         if order is not None:
             ws = [graph.vertex(v).weight for v in order]
             if ws[0] == 3 and all(w == 2 for w in ws[1:]):
@@ -311,7 +296,7 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
                     {order[0]: Fraction(1, 4), order[1]: HALF, order[2]: Fraction(1, 4)},
                 )
             return None
-        f = _whole_fork(graph)
+        f = _as_fork(graph, whole)
         if f is not None and graph.vertex(f.center).weight == 2:
             short = [t for t in f.twigs if len(t) == 1 and graph.vertex(t[0]).weight == 2]
             rest = [t for t in f.twigs if t not in short[:2]]
@@ -326,7 +311,7 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
         return None
 
     # boundary present
-    order = _is_chain_graph(graph)
+    order = _chain_order(graph, whole)
     if order is None:
         return None
     contact = {v: int(t) for v, t in theta.items()}

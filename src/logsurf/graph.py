@@ -332,22 +332,12 @@ class Bench:
 
 
 @dataclass(frozen=True)
-class HalfBench:
-    central_chain: tuple[str, ...]  # C_1 carries the two (-2)-feet
-    feet: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ShapeReport:
-    tips: tuple[str, ...]
     maximal_twigs: tuple[tuple[str, ...], ...]  # ordered, tip of D first; rods excluded
     rods: tuple[tuple[str, ...], ...]
-    segments: tuple[tuple[str, ...], ...]
     forks: tuple[Fork, ...]
     benches: tuple[Bench, ...]
-    half_benches: tuple[HalfBench, ...]
     circular: tuple[frozenset[str], ...]
-    superfluous: tuple[str, ...]
 
 
 def _walk(
@@ -392,86 +382,41 @@ def _maximal_twig(
 
 
 def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
-    """Shape taxonomy of the reduced subdivisor spanned by D."""
+    """Shape taxonomy of the reduced subdivisor spanned by D: its maximal
+    twigs, the components of D that are rods, forks or benches, and its
+    circular subgraphs."""
     dset = set(D)
-    for vid in dset:
-        graph.vertex(vid)
     beta = {v: branching_number(graph, [v], dset) for v in dset}
-    tips = tuple(sorted(v for v in dset if beta[v] <= 1))
-    comps = graph.connected_components(dset)
-
+    tips = sorted(v for v in dset if beta[v] <= 1)
+    twigs = [_maximal_twig(graph, tip, dset, beta) for tip in tips]
     rods: list[tuple[str, ...]] = []
-    circular: list[frozenset[str]] = []
     forks: list[Fork] = []
     benches: list[Bench] = []
-    # circular subgraphs: strip vertices of internal degree <= 1 repeatedly;
-    # whatever survives is a union of cycles (possibly deep inside a component)
-    core = set(dset)
-    while True:
-        drop = [
-            v
-            for v in core
-            if sum(m for w, m in graph.adjacency[v].items() if w in core) <= 1
-        ]
-        if not drop:
-            break
-        core -= set(drop)
-    circular.extend(graph.connected_components(core))
-    for comp in comps:
-        if comp in set(circular):
-            continue
+    for comp in graph.connected_components(dset):
         order = _chain_order(graph, comp)
-        if order is not None and all(beta[v] <= 2 for v in comp):
+        if order is not None:
             rods.append(order)
             continue
         fk = _as_fork(graph, comp)
         if fk is not None:
             forks.append(fk)
-        bench = _as_bench(graph, comp, dset, beta)
+        bench = _as_bench(graph, comp)
         if bench is not None:
             benches.append(bench)
-
-    maximal_twigs: list[tuple[str, ...]] = []
-    twig_vertices: set[str] = set()
-    for tip in tips:
-        twig = _maximal_twig(graph, tip, dset, beta)
-        if twig is not None:
-            maximal_twigs.append(twig)
-            twig_vertices.update(twig)
-
-    segments: list[tuple[str, ...]] = []
-    seg_pool = {
-        v
-        for v in dset
-        if beta[v] <= 2 and v not in twig_vertices and not any(v in c for c in circular)
-    }
-    seg_pool -= {v for r in rods for v in r}
-    for comp in graph.connected_components(seg_pool):
-        order = _chain_order(graph, comp)
-        if order is not None and not any(beta[v] <= 1 for v in comp):
-            segments.append(order)
-
-    half_benches = tuple(_half_benches(graph, dset, beta))
-
-    superfluous = []
-    for v in sorted(dset):
-        vert = graph.vertex(v)
-        if vert.weight != 1 or vert.genus != 0:
-            continue
-        nbrs = [(w, m) for w, m in graph.adjacency[v].items() if w in dset]
-        if len(nbrs) <= 2 and all(m == 1 for _, m in nbrs):
-            superfluous.append(v)
-
+    # circular subgraphs: strip vertices of internal degree <= 1 repeatedly;
+    # whatever survives is a union of cycles (possibly deep inside a component)
+    core = set(dset)
+    while True:
+        drop = {v for v in core if sum(m for w, m in graph.adjacency[v].items() if w in core) <= 1}
+        if not drop:
+            break
+        core -= drop
     return ShapeReport(
-        tips=tips,
-        maximal_twigs=tuple(maximal_twigs),
+        maximal_twigs=tuple(t for t in twigs if t is not None),
         rods=tuple(rods),
-        segments=tuple(segments),
         forks=tuple(forks),
         benches=tuple(benches),
-        half_benches=half_benches,
-        circular=tuple(circular),
-        superfluous=tuple(superfluous),
+        circular=tuple(graph.connected_components(core)),
     )
 
 
@@ -494,9 +439,9 @@ def _as_fork(graph: DualGraph, comp: frozenset[str]) -> Optional[Fork]:
     return Fork(center=center, twigs=twigs)
 
 
-def _as_bench(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict[str, int]) -> Optional[Bench]:
-    if any(beta[v] != branching_number(graph, [v], comp) for v in comp):
-        return None  # bench must be a whole connected component of D
+def _as_bench(graph: DualGraph, comp: frozenset[str]) -> Optional[Bench]:
+    """Read a connected vertex set as a bench: a central chain with two
+    (-2)-feet at each end (all four at a lone curve), each met once."""
     leaves = sorted(v for v in comp if sum(m for w, m in graph.adjacency[v].items() if w in comp) == 1)
     if len(leaves) != 4:
         return None
@@ -508,7 +453,6 @@ def _as_bench(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict
     order = _chain_order(graph, frozenset(core))
     if order is None:
         return None
-    ends = {order[0], order[-1]}
     attach: dict[str, int] = {v: 0 for v in core}
     for leaf in leaves:
         ns = [w for w in graph.adjacency[leaf] if w in core]
@@ -524,33 +468,6 @@ def _as_bench(graph: DualGraph, comp: frozenset[str], dset: set[str], beta: dict
     if not ok:
         return None
     return Bench(central_chain=order, feet=tuple(leaves))
-
-
-def _half_benches(graph: DualGraph, dset: set[str], beta: dict[str, int]):
-    out = []
-    tips2 = [
-        v
-        for v in dset
-        if beta[v] == 1 and graph.vertex(v).weight == 2 and graph.vertex(v).genus == 0
-    ]
-    for u1, u2 in itertools.combinations(sorted(tips2), 2):
-        n1 = [w for w in graph.adjacency[u1] if w in dset]
-        n2 = [w for w in graph.adjacency[u2] if w in dset]
-        if n1 != n2 or len(n1) != 1:
-            continue
-        walk = _walk(graph, n1[0], None, dset - {u1, u2})
-        chain: list[str] = []
-        for c in itertools.chain(n1, itertools.takewhile(lambda v: beta[v] <= 2, walk)):
-            chain.append(c)
-            # record the prefix when all its external contact sits at the far end
-            t = set(chain) | {u1, u2}
-            ext = branching_number(graph, t, dset)
-            ext_at_end = branching_number(graph, [c], dset - (t - {c}))
-            if ext == 1 and ext_at_end == 1:
-                out.append(HalfBench(central_chain=tuple(chain), feet=(u1, u2)))
-            if ext != ext_at_end:
-                break
-    return out
 
 
 # ---------------------------------------------------------------------------

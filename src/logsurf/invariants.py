@@ -8,20 +8,14 @@ the two are cross-checked by the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    HypothesisViolated,
-    NotAChain,
-    NotAdmissible,
-    NotATree,
-    NotNegativeDefinite,
-    NotPeelable,
-)
+from .errors import NotAChain, NotAdmissible, NotNegativeDefinite, NotPeelable
 from .graph import (
     DualGraph,
     Fork,
@@ -29,8 +23,10 @@ from .graph import (
     Vertex,
     ZERO,
     ONE,
+    _as_fork,
+    _chain_order,
+    _maximal_twig,
     branching_number,
-    find_shapes,
 )
 from .linalg import bareiss_det
 
@@ -43,31 +39,6 @@ def discriminant(graph: DualGraph, S: Iterable[str]) -> int:
     for v in ids:
         graph.vertex(v)
     return bareiss_det(graph.neg_q(ids))
-
-
-def split_discriminant(
-    graph: DualGraph,
-    D1: Iterable[str],
-    D2: Iterable[str],
-    T1: str,
-    T2: str,
-) -> int:
-    """d(D1)d(D2) - (T1.T2) d(D1-T1) d(D2-T2), valid when D1 and D2 are
-    disjoint and joined through the single pair T1, T2 only."""
-    s1, s2 = set(D1), set(D2)
-    if s1 & s2:
-        raise HypothesisViolated("the two divisors share a component")
-    if T1 not in s1 or T2 not in s2:
-        raise HypothesisViolated("T1, T2 must lie in D1, D2 respectively")
-    for u in s1:
-        for w, m in graph.adjacency[u].items():
-            if w in s2 and (u, w) != (T1, T2):
-                raise HypothesisViolated(f"extra connecting edge {u}-{w}")
-    m = graph.mult(T1, T2)
-    return (
-        discriminant(graph, s1) * discriminant(graph, s2)
-        - m * discriminant(graph, s1 - {T1}) * discriminant(graph, s2 - {T2})
-    )
 
 
 @dataclass(frozen=True)
@@ -206,42 +177,30 @@ def classify_peelable(graph: DualGraph, D: Iterable[str], exc: Iterable[str]) ->
     excset = set(exc)
     if not excset <= dset:
         raise NotPeelable("exceptional set not contained in the boundary")
-    shapes = find_shapes(graph, dset)
-    comps = graph.connected_components(excset)
-    out: list[PeelableComponent] = []
-    rods = {frozenset(r): r for r in shapes.rods}
+    beta = {v: branching_number(graph, [v], dset) for v in dset}
+    # the rods and forks of D are its components that read as chains or forks
+    parts = graph.connected_components(dset)
+    rods = {c: chain for c in parts if (chain := _chain_order(graph, c)) is not None}
+    forks = {c: f for c in parts if c not in rods and (f := _as_fork(graph, c)) is not None}
+    # a maximal admissible twig is the admissible prefix of a maximal twig of
+    # D; inside a rod, twigs grow from either tip (a whole rod is a rod first)
+    tips = sorted(v for v in dset if beta[v] <= 1)
+    starts = [_maximal_twig(graph, tip, dset, beta) for tip in tips]
+    starts += [t for chain in rods.values() for t in (chain, chain[::-1])]
     twigs: dict[frozenset[str], tuple[str, ...]] = {}
-
-    def add_prefix(t: Sequence[str], proper: bool) -> None:
-        # the maximal admissible twig from this tip is the admissible prefix
-        prefix: list[str] = []
-        for v in t:
-            if graph.vertex(v).weight >= 2 and graph.vertex(v).genus == 0:
-                prefix.append(v)
-            else:
-                break
-        if prefix and not (proper and len(prefix) == len(t)):
-            twigs[frozenset(prefix)] = tuple(prefix)
-
-    for t in shapes.maximal_twigs:
-        add_prefix(t, proper=False)
-    for rodv in shapes.rods:
-        # inside a chain component, twigs grow from either tip but must stay
-        # proper (the whole component is the rod, not a twig)
-        add_prefix(rodv, proper=True)
-        add_prefix(tuple(reversed(rodv)), proper=True)
-    forks = {frozenset({f.center} | {v for t in f.twigs for v in t}): f for f in shapes.forks}
-    for comp in comps:
+    for t in starts:
+        prefix = tuple(itertools.takewhile(lambda v: is_admissible_chain(graph, [v]), t or ()))
+        if prefix:
+            twigs[frozenset(prefix)] = prefix
+    out: list[PeelableComponent] = []
+    for comp in graph.connected_components(excset):
         if comp in rods:
             order = rods[comp]
             if not is_admissible_chain(graph, order):
                 raise NotPeelable(f"rod {sorted(comp)} is not admissible")
             out.append(PeelableComponent("rod", comp, twig=_oriented_rod(graph, order)))
         elif comp in twigs:
-            order = twigs[comp]
-            if not is_admissible_chain(graph, order):
-                raise NotPeelable(f"twig {sorted(comp)} is not admissible")
-            out.append(PeelableComponent("twig", comp, twig=order))
+            out.append(PeelableComponent("twig", comp, twig=twigs[comp]))
         elif comp in forks:
             f = forks[comp]
             if not _fork_admissible(graph, f):
@@ -347,7 +306,7 @@ def coefficient_divisor_uniform(
 
 
 # ---------------------------------------------------------------------------
-# germ graphs and the appendix identities
+# germ graphs
 
 
 @dataclass(frozen=True)
@@ -410,59 +369,6 @@ def germ_of(model: LogSurfaceModel, component: Iterable[str]) -> GermGraph:
         )
     es = tuple(e for e in graph.edges if e.a in comp and e.b in comp)
     return GermGraph(DualGraph(tuple(vs), es))
-
-
-def _tree_paths(graph: DualGraph) -> dict[tuple[str, str], tuple[str, ...]]:
-    ids = graph.ids
-    n = len(ids)
-    edge_count = sum(e.mult for e in graph.edges)
-    if edge_count != n - len(graph.connected_components(ids)):
-        raise NotATree("graph has a circular subgraph")
-    paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    for start in ids:
-        stack = [(start, (start,))]
-        seen = {start}
-        while stack:
-            cur, path = stack.pop()
-            paths[(start, cur)] = path
-            for w in graph.adjacency[cur]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, path + (w,)))
-    return paths
-
-
-def tree_coefficient_identity(germ: GermGraph, j: str) -> Fraction:
-    """1 - cf(E_j) computed by the closed tree formula
-    (sum_i u(E_i) d(E - path(E_i, E_j))) / d(E)."""
-    graph = germ.graph
-    graph.vertex(j)
-    paths = _tree_paths(graph)
-    d_all = discriminant(graph, graph.ids)
-    total = ZERO
-    for i in graph.ids:
-        if (i, j) not in paths:
-            raise NotATree(f"{i!r} and {j!r} lie in different components")
-        rest = set(graph.ids) - set(paths[(i, j)])
-        total += germ.u_of(i) * discriminant(graph, rest)
-    return total / d_all
-
-
-def cofactor_matches_path(graph: DualGraph, i: str, j: str) -> bool:
-    """Check (-Q)^[i,j] = d(E - path(E_i,E_j)) for a tree."""
-    ids = list(graph.ids)
-    paths = _tree_paths(graph)
-    if (i, j) not in paths:
-        raise NotATree(f"{i!r} and {j!r} lie in different components")
-    ii, jj = ids.index(i), ids.index(j)
-    m = graph.neg_q(ids)
-    minor = [
-        [m[a][b] for b in range(len(ids)) if b != jj]
-        for a in range(len(ids))
-        if a != ii
-    ]
-    cof = (-1) ** (ii + jj) * bareiss_det(minor)
-    return cof == discriminant(graph, set(ids) - set(paths[(i, j)]))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
 from .graph import (
     LogSurfaceModel,
-    ONE,
     ZERO,
     _as_fork,
     _chain_order,
@@ -90,20 +89,6 @@ class MMPRun:
     @property
     def final_contracted(self) -> frozenset[str]:
         return self.final.contracted
-
-    def verify(self, kind: str = SECOND) -> bool:
-        """Check the run against the pair: every step must contract a curve
-        log exceptional for K + D of the declared kind.  Runs produced with
-        the boundary switched off (pure K-MMPs) need not pass this."""
-        cur = self.start
-        for step, after in zip(self.steps, self.models[1:]):
-            v = curve_verdict(cur, step.vertex)
-            if v.kind not in _KINDS[kind] or v.kind != step.kind:
-                return False
-            if after.contracted != cur.contracted | {step.vertex}:
-                return False
-            cur = after
-        return True
 
 
 def _step(
@@ -335,27 +320,6 @@ def _classify_peeled(
     return tuple(gamma), tuple(lam), tuple(delta), tuple(extra)
 
 
-def peeling_from(
-    model: LogSurfaceModel, exc: Iterable[str], kind: str = SECOND, pure: bool = True
-) -> PeelingData:
-    """Package a prescribed exceptional set as a partial peeling, checking
-    that it really is one (boundary-supported, contractible stepwise, and
-    K-nonnegative on each member when purity is claimed)."""
-    excset = frozenset(exc)
-    flagged = set(model.boundary_flagged)
-    if not excset <= flagged:
-        raise NotApplicable("a peeling contracts boundary components only")
-    if pure:
-        for v in excset:
-            if model.k_pairing(v) < 0:
-                raise NotApplicable(f"{v!r} pairs negatively with K; not a pure peeling")
-    run = relative_mmp(model, excset, use_boundary=True, kind=kind)
-    if run.exceptional != excset:
-        raise NotApplicable("the set is not the exceptional locus of a partial peeling")
-    gamma, lam, delta, extra = _classify_peeled(model, excset)
-    return PeelingData(run, pure, kind, gamma, lam, delta, extra)
-
-
 def squeeze(model: LogSurfaceModel, kind: str = FIRST) -> MMPRun:
     """Squeezing: the relative K-MMP of a maximal (not necessarily pure)
     peeling; it contracts the redundant boundary (-1)-curves."""
@@ -493,25 +457,6 @@ def almost_log_exceptional(
             )
         )
     return out
-
-
-def ale_characterization(
-    model: LogSurfaceModel, peeling: PeelingData, vid: str
-) -> tuple[bool, Fraction]:
-    """The direct test: A + Exc(alpha) negative definite and
-    A.(r D' + cf-divisor) < 1 (first kind; = 1 second kind).  Returns the
-    negative-definiteness flag and the tested value."""
-    nd = is_negative_definite(
-        model.graph, model.contracted | peeling.exceptional | {vid}
-    )
-    peeled = peeling.model
-    total = model.graph.vertex(vid).decoration
-    for b in peeled.boundary_support:
-        total += peeled.coeff(b) * model.graph.mult(vid, b)
-    for e, c in peeled.coefficients.items():
-        if e in peeling.exceptional:
-            total += c * model.graph.mult(vid, e)
-    return nd, total
 
 
 # -- case tags --------------------------------------------------------------
@@ -856,23 +801,3 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     if psi.exceptional != frozenset(total):  # pragma: no cover - theory guarantee
         raise AssertionError("could not realize the run as elementary contractions")
     return AlmostMinDecomposition(psi, am_run, alpha, tuple(ladder))
-
-
-def is_log_smooth_output(decomp: AlmostMinDecomposition) -> bool:
-    """For a log smooth start (nothing contracted): the almost minimal model
-    is log smooth iff every almost-minimalization step contracts a curve that
-    is superfluous in (image of D) + itself at the time of contraction."""
-    if decomp.am.start.contracted:
-        return False
-    flagged = set(decomp.am.start.boundary_flagged)
-    for step, before in zip(decomp.am.steps, decomp.am.models):
-        v = step.vertex
-        contacts = []
-        for b in flagged - before.contracted - {v}:
-            m = before.intersect({v: ONE}, {b: ONE})
-            if m != 0:
-                contacts.append(m)
-        dec = before.graph.vertex(v).decoration
-        if sum(contacts, ZERO) + dec > 2 or any(m > 1 for m in contacts):
-            return False
-    return True

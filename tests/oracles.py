@@ -1,0 +1,157 @@
+"""Checks that only the tests use: the paper's identities computed another
+way, and the defining properties of runs and peelings.  Tests import this
+module the way they import ``conftest``."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+from logsurf import (
+    DualGraph, GermGraph, HypothesisViolated, LogSurfaceModel, MMPRun, NotApplicable, NotATree,
+    discriminant, is_negative_definite,
+)
+from logsurf.graph import ONE, ZERO
+from logsurf.linalg import bareiss_det
+from logsurf.mmp import (
+    _KINDS, SECOND, AlmostMinDecomposition, PeelingData, _classify_peeled, curve_verdict, relative_mmp,
+)
+
+
+def split_discriminant(graph: DualGraph, D1: Iterable[str], D2: Iterable[str], T1: str, T2: str) -> int:
+    """d(D1)d(D2) - (T1.T2) d(D1-T1) d(D2-T2), valid when D1 and D2 are
+    disjoint and joined through the single pair T1, T2 only."""
+    s1, s2 = set(D1), set(D2)
+    if s1 & s2:
+        raise HypothesisViolated("the two divisors share a component")
+    if T1 not in s1 or T2 not in s2:
+        raise HypothesisViolated("T1, T2 must lie in D1, D2 respectively")
+    for u in s1:
+        for w, m in graph.adjacency[u].items():
+            if w in s2 and (u, w) != (T1, T2):
+                raise HypothesisViolated(f"extra connecting edge {u}-{w}")
+    m = graph.mult(T1, T2)
+    return (
+        discriminant(graph, s1) * discriminant(graph, s2)
+        - m * discriminant(graph, s1 - {T1}) * discriminant(graph, s2 - {T2})
+    )
+
+
+def _tree_paths(graph: DualGraph) -> dict[tuple[str, str], tuple[str, ...]]:
+    ids = graph.ids
+    n = len(ids)
+    edge_count = sum(e.mult for e in graph.edges)
+    if edge_count != n - len(graph.connected_components(ids)):
+        raise NotATree("graph has a circular subgraph")
+    paths: dict[tuple[str, str], tuple[str, ...]] = {}
+    for start in ids:
+        stack = [(start, (start,))]
+        seen = {start}
+        while stack:
+            cur, path = stack.pop()
+            paths[(start, cur)] = path
+            for w in graph.adjacency[cur]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, path + (w,)))
+    return paths
+
+
+def tree_coefficient_identity(germ: GermGraph, j: str) -> Fraction:
+    """1 - cf(E_j) computed by the closed tree formula
+    (sum_i u(E_i) d(E - path(E_i, E_j))) / d(E)."""
+    graph = germ.graph
+    graph.vertex(j)
+    paths = _tree_paths(graph)
+    d_all = discriminant(graph, graph.ids)
+    total = ZERO
+    for i in graph.ids:
+        if (i, j) not in paths:
+            raise NotATree(f"{i!r} and {j!r} lie in different components")
+        rest = set(graph.ids) - set(paths[(i, j)])
+        total += germ.u_of(i) * discriminant(graph, rest)
+    return total / d_all
+
+
+def cofactor_matches_path(graph: DualGraph, i: str, j: str) -> bool:
+    """Check (-Q)^[i,j] = d(E - path(E_i,E_j)) for a tree."""
+    ids = list(graph.ids)
+    paths = _tree_paths(graph)
+    if (i, j) not in paths:
+        raise NotATree(f"{i!r} and {j!r} lie in different components")
+    ii, jj = ids.index(i), ids.index(j)
+    m = graph.neg_q(ids)
+    minor = [[m[a][b] for b in range(len(ids)) if b != jj] for a in range(len(ids)) if a != ii]
+    cof = (-1) ** (ii + jj) * bareiss_det(minor)
+    return cof == discriminant(graph, set(ids) - set(paths[(i, j)]))
+
+
+def verify_run(run: MMPRun, kind: str = SECOND) -> bool:
+    """Check the run against the pair: every step must contract a curve
+    log exceptional for K + D of the declared kind.  Runs produced with
+    the boundary switched off (pure K-MMPs) need not pass this."""
+    cur = run.start
+    for step, after in zip(run.steps, run.models[1:]):
+        v = curve_verdict(cur, step.vertex)
+        if v.kind not in _KINDS[kind] or v.kind != step.kind:
+            return False
+        if after.contracted != cur.contracted | {step.vertex}:
+            return False
+        cur = after
+    return True
+
+
+def peeling_from(
+    model: LogSurfaceModel, exc: Iterable[str], kind: str = SECOND, pure: bool = True
+) -> PeelingData:
+    """Package a prescribed exceptional set as a partial peeling, checking
+    that it really is one (boundary-supported, contractible stepwise, and
+    K-nonnegative on each member when purity is claimed)."""
+    excset = frozenset(exc)
+    flagged = set(model.boundary_flagged)
+    if not excset <= flagged:
+        raise NotApplicable("a peeling contracts boundary components only")
+    if pure:
+        for v in excset:
+            if model.k_pairing(v) < 0:
+                raise NotApplicable(f"{v!r} pairs negatively with K; not a pure peeling")
+    run = relative_mmp(model, excset, use_boundary=True, kind=kind)
+    if run.exceptional != excset:
+        raise NotApplicable("the set is not the exceptional locus of a partial peeling")
+    gamma, lam, delta, extra = _classify_peeled(model, excset)
+    return PeelingData(run, pure, kind, gamma, lam, delta, extra)
+
+
+def ale_characterization(model: LogSurfaceModel, peeling: PeelingData, vid: str) -> tuple[bool, Fraction]:
+    """The direct test: A + Exc(alpha) negative definite and
+    A.(r D' + cf-divisor) < 1 (first kind; = 1 second kind).  Returns the
+    negative-definiteness flag and the tested value."""
+    nd = is_negative_definite(model.graph, model.contracted | peeling.exceptional | {vid})
+    peeled = peeling.model
+    total = model.graph.vertex(vid).decoration
+    for b in peeled.boundary_support:
+        total += peeled.coeff(b) * model.graph.mult(vid, b)
+    for e, c in peeled.coefficients.items():
+        if e in peeling.exceptional:
+            total += c * model.graph.mult(vid, e)
+    return nd, total
+
+
+def is_log_smooth_output(decomp: AlmostMinDecomposition) -> bool:
+    """For a log smooth start (nothing contracted): the almost minimal model
+    is log smooth iff every almost-minimalization step contracts a curve that
+    is superfluous in (image of D) + itself at the time of contraction."""
+    if decomp.am.start.contracted:
+        return False
+    flagged = set(decomp.am.start.boundary_flagged)
+    for step, before in zip(decomp.am.steps, decomp.am.models):
+        v = step.vertex
+        contacts = []
+        for b in flagged - before.contracted - {v}:
+            m = before.intersect({v: ONE}, {b: ONE})
+            if m != 0:
+                contacts.append(m)
+        dec = before.graph.vertex(v).decoration
+        if sum(contacts, ZERO) + dec > 2 or any(m > 1 for m in contacts):
+            return False
+    return True

@@ -26,12 +26,11 @@ from logsurf import (
     is_partial_mmp_run,
     load_fixture,
     relative_k_mmp,
-    tree_coefficient_identity,
 )
-from logsurf.invariants import cofactor_matches_path, fork_delta
+from logsurf.invariants import fork_delta
 from logsurf.graph import find_shapes
 from logsurf.linalg import solve_int
-from logsurf.mmp import curve_verdict, is_log_smooth_output
+from logsurf.mmp import curve_verdict
 
 from conftest import (
     chain_graph,
@@ -41,6 +40,7 @@ from conftest import (
     random_negative_definite_tree,
     record_acceptance,
 )
+from oracles import cofactor_matches_path, is_log_smooth_output, tree_coefficient_identity
 
 R_GRID = (F(0), F(1, 4), F(1, 3), F(1, 2))
 

@@ -61,13 +61,14 @@ def test_lc_half_bench_chain():
     g = chain_graph(2, 5, 2, decorations={1: 1})
     gc = classify_germ(germ(g))
     assert gc.tag == "LC-HalfBench"
+    assert gc.payload == {"central_chain": ("v1",), "feet": ("v0", "v2")}
 
 
 def test_lc_half_bench_fork():
     g = fork_graph(3, (2,), (2,), (2, 2), decorations={"t2_1": 1})
     gc = classify_germ(germ(g))
     assert gc.tag == "LC-HalfBench"
-    assert gc.payload["central_chain"][0] == "c"
+    assert gc.payload["central_chain"] == ("c", "t2_0", "t2_1")
 
 
 def test_lc_segment():
@@ -471,19 +472,29 @@ def _random_shape_graph(rng, n):
     return DualGraph(vs, tuple(Edge(a, b, m) for (a, b), m in mult.items()))
 
 
+def _reference_chain_and_fork(g):
+    """Whether a connected graph is a chain and whether it is a fork, read off
+    its degree sequence: a tree (edge count with multiplicity n - 1) is a
+    chain when no degree exceeds 2, and a fork when exactly one curve has
+    degree 3 and no other more than 2."""
+    if sum(e.mult for e in g.edges) != len(g.ids) - 1:
+        return False, False
+    degrees = sorted(len(g.adjacency[v]) for v in g.ids)
+    return degrees[-1] <= 2, degrees[-1] == 3 and degrees[-2] <= 2
+
+
 def test_direct_chain_and_fork_questions_match_find_shapes():
-    from logsurf.classify import _is_chain_graph, _whole_fork
-    from logsurf.graph import find_shapes
+    from logsurf.graph import _as_fork, _chain_order, find_shapes
 
     rng = random.Random(20241)
     seen = {"chain": 0, "fork": 0}
     for _ in range(2000):
         g = _random_shape_graph(rng, rng.randint(1, 9))
+        chain, fork = _chain_order(g, frozenset(g.ids)), _as_fork(g, frozenset(g.ids))
+        assert (chain is not None, fork is not None) == _reference_chain_and_fork(g), g
         shapes = find_shapes(g, g.ids)
-        rods = [t for t in shapes.rods if len(t) == len(g.ids)]
-        forks = [f for f in shapes.forks if 1 + sum(len(t) for t in f.twigs) == len(g.ids)]
-        assert _is_chain_graph(g) == (rods[0] if rods else None), g
-        assert _whole_fork(g) == (forks[0] if forks else None), g
-        seen["chain"] += bool(rods)
-        seen["fork"] += bool(forks)
+        assert shapes.rods == ((chain,) if chain else ()), g
+        assert shapes.forks == ((fork,) if fork else ()), g
+        seen["chain"] += chain is not None
+        seen["fork"] += fork is not None
     assert min(seen.values()) > 200, seen

@@ -10,18 +10,34 @@ through one reused ``--out`` file, whose bytes stand in for stdout and must
 give the same digest.  A change that must leave every report as it is
 keeps both digests; a change that alters a report on purpose records the new
 digest here and says why.
+
+A third digest pins the shape answers below the CLI: ``classify_germ`` (tag
+and payload) on seeded germs, and ``classify_peelable`` and ``bark_D``
+(result, or error class and message) on seeded divisors.  The draws hold
+trees, cycles, double edges, benches (also with an all-(-2) central chain),
+forks on the log canonical boundary and half-benches, so every germ tag
+comes up at least ten times.
 """
 
 import hashlib
+import random
+from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
+from logsurf import DualGraph, Edge, GermGraph, LogSurfError, Vertex, bark_D, classify_germ
 from logsurf.cli import COMMANDS, main
+from logsurf.invariants import classify_peelable
+
+_TAGS = ("LT-NoBoundary-Rod", "LT-NoBoundary-Fork", "LT-Twig", "LC-EllipticCurve", "LC-Fork",
+         "LC-Cycle", "LC-Bench", "LC-HalfBench", "LC-Segment", "NotLC")
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "logsurf" / "fixtures"
 
 DIGESTS = {
     "json": "04650d2ff546d7ffcc3040d467e0c1409e8ddfcb0ae95a434300f9a6c82a7d8b",
     "text": "684b472d31d2598001d7bc5e7fc38f1150ecdff9dca69e2f791002fb583ab957",
+    "shapes": "aa084be15cf7a188dca8133d922abfbc8befa6e38f43442fb14c76e522e82250",
 }
 
 
@@ -68,3 +84,134 @@ def test_cli_reports_written_through_one_out_file_are_byte_identical(capsys, tmp
     out_file = tmp_path / "report.json"
     out_file.write_bytes(b"")
     assert _digest(capsys, "json", out_file) == DIGESTS["json"]
+
+
+# -- shape answers ---------------------------------------------------------------
+
+# chains of discriminant d = 2, 3, 4, 6: three of them with 1/d summing to 1
+# are the arms of a fork on the log canonical boundary
+_ARMS = {2: ([2],), 3: ([3], [2, 2]), 4: ([4], [2, 2, 2]), 6: ([6], [2, 2, 2, 2, 2])}
+
+
+def _graph(weights, edges, genus=(), contacts={}):
+    """Curves c0, c1, ... of these weights; ``edges`` maps index pairs to
+    intersection numbers, ``contacts`` indices to boundary contacts."""
+    vs = [Vertex(f"c{i}", w, int(i in genus), F(contacts.get(i, 0))) for i, w in enumerate(weights)]
+    return DualGraph(tuple(vs), tuple(Edge(f"c{a}", f"c{b}", m) for (a, b), m in edges.items()))
+
+
+def _path(n):
+    return {(i, i + 1): 1 for i in range(n - 1)}
+
+
+def _fork(center, arms):
+    weights, edges = [center], {}
+    for arm in arms:
+        prev = 0
+        for w in arm:
+            edges[(prev, len(weights))] = 1
+            prev = len(weights)
+            weights.append(w)
+    return weights, edges
+
+
+def _shape_draw(rng):
+    """A tree, a cycle, a bench or a fork, sometimes with one more edge (a
+    cycle or a double edge) or a tail."""
+    w = lambda: rng.choice((2, 2, 2, 3, 4))
+    pick = rng.random()
+    if pick < 0.35:
+        weights = [w() for _ in range(rng.randint(1, 9))]
+        edges = {(rng.randrange(i), i): 1 for i in range(1, len(weights))}
+    elif pick < 0.55:  # two curves of a cycle meet twice
+        n = rng.randint(2, 7)
+        weights, edges = [w() for _ in range(n)], _path(n) | {(0, n - 1): 1 + (n == 2)}
+    elif pick < 0.75:  # two (-2)-feet at each end of a central chain
+        k = rng.randint(1, 4)
+        weights = [rng.choice((2, 2, 3)) for _ in range(k)] + [2, 2, 2, 2]
+        edges = _path(k) | {(end, k + j): 1 for j, end in enumerate((0, 0, k - 1, k - 1))}
+    else:
+        weights, edges = _fork(w(), [[w() for _ in range(rng.randint(1, 3))] for _ in range(3)])
+    n = len(weights)
+    if n >= 2 and rng.random() < 0.15:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges[(a, b)] = edges.get((a, b), 0) + 1
+    if rng.random() < 0.1:
+        weights.append(w())
+        edges[(rng.randrange(n), n)] = 1
+    return weights, edges
+
+
+def _germ_draw(rng):
+    pick = rng.random()
+    if pick < 0.01:
+        return _graph([rng.randint(1, 4)], {}, genus={0})
+    if pick < 0.04:
+        ds = rng.choice(((2, 3, 6), (2, 4, 4), (3, 3, 3)))
+        return _graph(*_fork(rng.randint(2, 4), [rng.choice(_ARMS[d]) for d in ds]))
+    if pick < 0.08:  # two (-2)-feet at one end of a chain, contact 1 mostly at the other
+        k = rng.randint(1, 4)
+        weights = [rng.choice((2, 3, 4)) for _ in range(k)] + [rng.choice((2, 2, 2, 3)), 2]
+        edges = _path(k) | {(0, k): 1, (0, k + 1): 1}
+        return _graph(weights, edges, contacts={rng.choice((k - 1, k - 1, 0)): 1})
+    weights, edges = _shape_draw(rng)
+    n, genus, roll = len(weights), {0} if rng.random() < 0.04 else (), rng.random()
+    if roll < 0.25:
+        contacts = {rng.randrange(n) if roll < 0.15 else n - 1: 1}
+    elif roll < 0.35:
+        contacts = {0: 1, n - 1: 1}
+    else:
+        contacts = {rng.randrange(n): 2} if roll < 0.4 else {}
+    return _graph(weights, edges, genus, contacts)
+
+
+def _peel_draw(rng):
+    """A graph with some (-1)-curves, a divisor D of it and a set in D:
+    whole components of D, a run of curves walked from a tip of D, or any set."""
+    weights, edges = _shape_draw(rng)
+    g = _graph([1 if rng.random() < 0.1 else w for w in weights], edges)
+    dset = {v for v in g.ids if rng.random() < 0.8} or set(g.ids)
+    nbrs = {v: [w for w in g.adjacency[v] if w in dset] for v in dset}
+    roll = rng.random()
+    if roll < 0.4:
+        comps = g.connected_components(dset)
+        exc = set().union(*rng.sample(comps, rng.randint(1, len(comps))))
+    elif roll < 0.8:
+        tips = [v for v in sorted(dset) if sum(g.adjacency[v][w] for w in nbrs[v]) <= 1]
+        run = [rng.choice(tips) if tips else rng.choice(sorted(dset))]
+        for _ in range(rng.randint(0, 3) if tips else 0):
+            nxt = [w for w in nbrs[run[-1]] if w not in run]
+            if len(nxt) != 1:
+                break
+            run.append(nxt[0])
+        exc = set(run)
+    else:
+        exc = {v for v in g.ids if rng.random() < 0.4}
+    return g, sorted(dset), sorted(exc)
+
+
+def _answer(call, canon):
+    try:
+        return canon(call())
+    except LogSurfError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_shape_answers_are_identical():
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    tags, kinds = Counter(), Counter()
+    for _ in range(3000):
+        germ = _answer(lambda: GermGraph(_germ_draw(rng)), lambda gm: gm)
+        if isinstance(germ, GermGraph):
+            germ = _answer(lambda: classify_germ(germ), lambda c: (c.tag, sorted(c.payload.items())))
+            tags[germ[0]] += 1
+        g, dset, exc = _peel_draw(rng)
+        comps = _answer(lambda: classify_peelable(g, dset, exc),
+                        lambda cs: [(c.kind, sorted(c.vertices), c.twig, c.fork) for c in cs])
+        kinds.update([c[0] for c in comps] if isinstance(comps, list) else [comps[0]])
+        bark = _answer(lambda: bark_D(g, dset, exc), lambda b: (sorted(b.coefficients.items()), b.fork_factor))
+        h.update(repr((germ, comps, bark)).encode() + b"\0")
+    assert min(tags[t] for t in _TAGS) >= 10, tags
+    assert min(kinds[k] for k in ("twig", "rod", "fork", "NotPeelable")) >= 10, kinds
+    assert h.hexdigest() == DIGESTS["shapes"]

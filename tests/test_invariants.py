@@ -20,15 +20,14 @@ from logsurf import (
     coefficients_linear,
     discriminant,
     eps_check,
-    split_discriminant,
     total_coefficient,
-    tree_coefficient_identity,
 )
-from logsurf.invariants import cofactor_matches_path, fork_delta
+from logsurf.invariants import fork_delta
 from logsurf.graph import find_shapes
 from logsurf.linalg import solve_int
 
 from conftest import chain_graph, fork_graph, model, random_negative_definite_tree
+from oracles import cofactor_matches_path, split_discriminant, tree_coefficient_identity
 
 
 # -- discriminants ------------------------------------------------------------

@@ -24,17 +24,10 @@ from logsurf import (
     run_mmp,
     squeeze,
 )
-from logsurf.mmp import (
-    Step,
-    _step,
-    ale_characterization,
-    curve_verdict,
-    is_log_smooth_output,
-    log_exceptional,
-    peeling_from,
-)
+from logsurf.mmp import Step, _step, curve_verdict, log_exceptional
 
 from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
+from oracles import ale_characterization, is_log_smooth_output, peeling_from, verify_run
 
 
 def with_r(m, r):
@@ -273,7 +266,7 @@ def test_run_mmp_cuspidal_cubic():
     run = run_mmp(m, kind="first", strategy="lowest-id")
     assert run.final_contracted == {"E1", "E2", "L"}
     assert len(run.final.noncontracted()) == 1  # Picard bookkeeping
-    assert run.verify(kind="first")
+    assert verify_run(run, kind="first")
     run2 = run_mmp(m, kind="first", strategy="boundary-first")
     assert run2.final_contracted == {"E1", "E2", "L"}
 
@@ -504,7 +497,7 @@ def test_amm_decomposition_identity():
         d = almost_minimalize(m, kind="first")
         assert d.run.exceptional == d.am.exceptional | d.min_exceptional
         assert not (d.am.exceptional & d.min_exceptional)
-        assert d.run.verify(kind="first")
+        assert verify_run(d.run, kind="first")
         # K is nef along the residual peeling, with an effective pullback
         fin = d.almost_minimal_model
         for v in d.min_exceptional:
@@ -610,7 +603,7 @@ def test_randomized_robustness_and_maximality():
         d = almost_minimalize(m, kind=kind)
         assert d.run.exceptional == d.am.exceptional | d.min_exceptional
         assert not (d.am.exceptional & d.min_exceptional)
-        assert d.run.verify(kind=kind)
+        assert verify_run(d.run, kind=kind)
         fin = d.run.final
         for v in fin.noncontracted():
             vv = curve_verdict(fin, v)
@@ -739,7 +732,6 @@ def test_ale_detection_matches_direct_characterization_randomized():
                 # never be almost log exceptional on a smooth model
                 assert v not in found
                 continue
-            from logsurf.mmp import ale_characterization
 
             nd, value = ale_characterization(m, pe, v)
             k_neg = m.canonical_intersect({v: F(1)}) < 0
