@@ -27,7 +27,7 @@ class GermClass:
     payload: dict = field(default_factory=dict, compare=False)
 
 
-def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermClass:
+def classify_germ(germ: GermGraph) -> GermClass:
     """Classify a minimal resolution germ by shape.
 
     Tags follow the log terminal / log canonical taxonomy; decorations encode
@@ -41,16 +41,12 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
     if not germ.is_minimal():
         raise NotMinimal("germ has a smooth rational (-1)-vertex")
     theta = germ.contacts
-    if has_boundary is None:
-        has_boundary = bool(theta)
-    if has_boundary != bool(theta):
-        raise NotApplicable("has_boundary flag contradicts the decorations")
     if any(t != int(t) for t in theta.values()):
         raise NotApplicable("germ contacts must be integral (reduced boundary)")
     contact = sum(int(t) for t in theta.values())
     whole = frozenset(graph.ids)
 
-    if not has_boundary:
+    if not theta:
         if len(graph.ids) == 1 and graph.vertices[0].genus == 1:
             return GermClass("LC-EllipticCurve", {"vertex": graph.ids[0]})
         if any(v.genus != 0 for v in graph.vertices):
@@ -63,15 +59,18 @@ def classify_germ(germ: GermGraph, has_boundary: Optional[bool] = None) -> GermC
             delta = fork_delta(graph, f)
             if delta > 1:
                 return GermClass("LT-NoBoundary-Fork", _fork_payload(graph, f, delta))
-            if delta == 1 and not _all_minus_two(graph, graph.ids):
+            # an all-(-2) fork with delta = 1 (E~6, E~7, E~8) is only
+            # semidefinite, so it is no germ
+            if delta == 1:
                 return GermClass("LC-Fork", _fork_payload(graph, f, delta))
             return GermClass("NotLC")
         # the germ is one cycle when every curve meets the others at least
         # twice; a bench is a tree, so a germ with a smaller cycle is no bench
         if all(sum(graph.adjacency[v].values()) >= 2 for v in whole):
             return GermClass("LC-Cycle", {"cycle": tuple(sorted(whole))})
+        # an all-(-2) bench (D~n) is only semidefinite too, so it is no germ
         b = _as_bench(graph, whole)
-        if b is not None and not _all_minus_two(graph, b.central_chain):
+        if b is not None:
             return GermClass("LC-Bench", {"central_chain": b.central_chain, "feet": b.feet})
         return GermClass("NotLC")
 
@@ -248,14 +247,13 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
     (tag, formula, closed-form coefficients) or None."""
     graph = germ.graph
     theta = germ.contacts
-    boundary = bool(theta)
     ids = graph.ids
     whole = frozenset(ids)
     n = len(ids)
     if any(v.genus != 0 for v in graph.vertices):
         return None  # the case list holds rational curves only
 
-    if not boundary:
+    if not theta:
         if _all_minus_two(graph, ids):
             order = _chain_order(graph, whole)
             f = _as_fork(graph, whole)
@@ -265,21 +263,10 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
         order = _chain_order(graph, whole)
         if order is not None:
             ws = [graph.vertex(v).weight for v in order]
+            if ws[-1] == 3 and all(w == 2 for w in ws[:-1]):  # read [2,...,2,3] from its 3
+                order, ws = order[::-1], ws[::-1]
             if ws[0] == 3 and all(w == 2 for w in ws[1:]):
-                k = n
-                return (
-                    "(1a)",
-                    "(1b)",
-                    {v: Fraction(k - i, 2 * k + 1) for i, v in enumerate(order)},
-                )
-            if ws[-1] == 3 and all(w == 2 for w in ws[:-1]):
-                k = n
-                rev = tuple(reversed(order))
-                return (
-                    "(1a)",
-                    "(1b)",
-                    {v: Fraction(k - i, 2 * k + 1) for i, v in enumerate(rev)},
-                )
+                return "(1a)", "(1b)", {v: Fraction(n - i, 2 * n + 1) for i, v in enumerate(order)}
             if ws == [4]:
                 return "(2a)", "(2a)", {order[0]: HALF}
             if (
@@ -325,12 +312,7 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
         if cv != order[-1]:
             return None
         if all(w == 2 for w in ws):
-            k = n
-            return (
-                "(1b)",
-                "(1c)",
-                {v: Fraction(i + 1, k + 1) * r for i, v in enumerate(order)},
-            )
+            return "(1b)", "(1c)", {v: Fraction(i + 1, n + 1) * r for i, v in enumerate(order)}
         if ws[0] == 3 and all(w == 2 for w in ws[1:]):
             # closed form only at r = 1/2; below that only the bound cf >= rE holds
             vals = {v: HALF for v in order} if r == HALF else {}
@@ -341,20 +323,13 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
     return None
 
 
-def classify_half(
-    germ: GermGraph, has_boundary: Optional[bool] = None, strict: bool = True, r: Fraction = HALF
-) -> HalfClass:
+def classify_half(germ: GermGraph, strict: bool = True, r: Fraction = HALF) -> HalfClass:
     """Taxonomy of germs with coefficient function bounded by one half.
 
     ``strict`` selects the cf < 1/2 list (cases (1a)/(1b)); otherwise the
     cf = 1/2 list (cases (2a)/(2b)).  The returned coefficients are the
     closed forms evaluated at the germ's boundary coefficient ``r``.
     """
-    theta = germ.contacts
-    if has_boundary is None:
-        has_boundary = bool(theta)
-    if has_boundary != bool(theta):
-        raise NotApplicable("has_boundary flag contradicts the decorations")
     matched = _germ_shape_half(germ, Fraction(r))
     if matched is None:
         raise NotApplicable("germ is not on the coefficient <= 1/2 case list")

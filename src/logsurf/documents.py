@@ -128,7 +128,8 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def parse_document(text: str) -> LogSurfaceModel:
+def _json_document(text: str) -> Any:
+    """The JSON value of a document text; every way it can fail is a ParseError."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
@@ -139,15 +140,17 @@ def parse_document(text: str) -> LogSurfaceModel:
         ) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
-    return model_from_dict(doc)
+    return doc
 
 
-def model_to_dict(model: LogSurfaceModel, name: str = "", reference: str = "") -> dict:
+def parse_document(text: str) -> LogSurfaceModel:
+    return model_from_dict(_json_document(text))
+
+
+def model_to_dict(model: LogSurfaceModel, name: str = "") -> dict:
     doc: dict[str, Any] = {}
     if name:
         doc["name"] = name
-    if reference:
-        doc["reference"] = reference
     doc["vertices"] = [
         {
             "id": v.id,
@@ -230,7 +233,6 @@ class FixtureDocument:
     name: str
     reference: str
     model: LogSurfaceModel
-    raw: dict
 
 
 FIXTURE_NAMES = (
@@ -256,13 +258,9 @@ def load_fixture(name: str) -> FixtureDocument:
         text = resources.files("logsurf.fixtures").joinpath(f"{name}.json").read_text()
     except FileNotFoundError:
         raise ParseError(f"no bundled fixture named {name!r}") from None
-    raw = json.loads(text, object_pairs_hook=_unique_fields)
-    return FixtureDocument(
-        name=raw.get("name", name),
-        reference=raw.get("reference", ""),
-        model=model_from_dict(raw),
-        raw=raw,
-    )
+    doc = _json_document(text)
+    model = model_from_dict(doc)
+    return FixtureDocument(doc.get("name", name), doc.get("reference", ""), model)
 
 
 def fixture_corpus() -> list[FixtureDocument]:

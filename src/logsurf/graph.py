@@ -368,17 +368,32 @@ def _chain_order(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, 
     return order if len(order) == len(comp) else None
 
 
-def _maximal_twig(
-    graph: DualGraph, tip: str, dset: set[str], beta: Mapping[str, int]
-) -> Optional[tuple[str, ...]]:
-    """The maximal twig of D from its tip ``tip``: the chain walk cut at the
-    first vertex with beta > 2.  None when the walk ends at a second tip:
-    then it covers the whole component of D, a rod.  (A component that is
-    all cycles has no tip, so no twig starts in one.)"""
-    walk = (tip, *_walk(graph, tip, None, dset))
-    if beta[walk[-1]] <= 1:
-        return None
-    return (tip, *itertools.takewhile(lambda v: beta[v] <= 2, walk[1:]))
+def _branching_numbers(graph: DualGraph, D: Iterable[str]) -> dict[str, int]:
+    """beta_D(v) = v.(D - v) of every curve v of D, in one pass over the
+    adjacency; UnknownVertex for an id of D that is not in the graph."""
+    dset = set(D)
+    for v in dset:
+        graph.vertex(v)
+    return {v: sum(m for w, m in graph.adjacency[v].items() if w in dset) for v in dset}
+
+
+def _maximal_twigs(graph: DualGraph, D: Iterable[str]) -> dict[str, tuple[str, ...]]:
+    """The maximal twigs of D by their tips, in the order of the tips.
+
+    A tip of D is a curve of D that meets the rest of D at most once
+    (beta_D <= 1).  The maximal twig from a tip is the chain walked from it
+    inside D, cut before the first curve with beta_D > 2.  A tip whose walk
+    ends at a second tip spans a whole component of D, a rod, and has no
+    twig; a component that is all cycles has no tip, so no twig starts in one.
+    """
+    dset = set(D)
+    beta = _branching_numbers(graph, dset)
+    twigs = {}
+    for tip in sorted(v for v in dset if beta[v] <= 1):
+        walk = (tip, *_walk(graph, tip, None, dset))
+        if beta[walk[-1]] > 1:
+            twigs[tip] = (tip, *itertools.takewhile(lambda v: beta[v] <= 2, walk[1:]))
+    return twigs
 
 
 def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
@@ -386,9 +401,7 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
     twigs, the components of D that are rods, forks or benches, and its
     circular subgraphs."""
     dset = set(D)
-    beta = {v: branching_number(graph, [v], dset) for v in dset}
-    tips = sorted(v for v in dset if beta[v] <= 1)
-    twigs = [_maximal_twig(graph, tip, dset, beta) for tip in tips]
+    twigs = _maximal_twigs(graph, dset)
     rods: list[tuple[str, ...]] = []
     forks: list[Fork] = []
     benches: list[Bench] = []
@@ -412,7 +425,7 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
             break
         core -= drop
     return ShapeReport(
-        maximal_twigs=tuple(t for t in twigs if t is not None),
+        maximal_twigs=tuple(twigs.values()),
         rods=tuple(rods),
         forks=tuple(forks),
         benches=tuple(benches),

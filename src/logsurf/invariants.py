@@ -25,8 +25,7 @@ from .graph import (
     ONE,
     _as_fork,
     _chain_order,
-    _maximal_twig,
-    branching_number,
+    _maximal_twigs,
 )
 from .linalg import bareiss_det
 
@@ -63,6 +62,22 @@ class ChainData:
     @property
     def inductance(self) -> Fraction:
         return Fraction(self.d_prime, self.d)
+
+    @property
+    def transposed_inductance(self) -> Fraction:
+        """The inductance of the chain read backwards: d_(m)/d."""
+        return Fraction(self.d_lower[-1] if self.vertices else 0, self.d)
+
+    @property
+    def bark(self) -> Subdivisor:
+        """Bk': coefficient d^(i)/d on T^(i)."""
+        return {v: Fraction(self.d_upper[i], self.d) for i, v in enumerate(self.vertices)}
+
+    @property
+    def transposed_bark(self) -> Subdivisor:
+        """Bk-transpose, the bark of the chain read backwards: coefficient
+        d_(i)/d on T^(i)."""
+        return {v: Fraction(self.d_lower[i], self.d) for i, v in enumerate(self.vertices)}
 
 
 def _check_chain(graph: DualGraph, order: Sequence[str]) -> None:
@@ -142,24 +157,7 @@ def bark_chain(graph: DualGraph, order: Sequence[str]) -> BarkDivisor:
     """
     cd = chain_data(graph, order)
     assert_admissible(graph, cd)
-    coeffs = {
-        v: Fraction(cd.d_upper[i], cd.d) for i, v in enumerate(cd.vertices)
-    }
-    return BarkDivisor(coeffs)
-
-
-def bark_chain_reversed(graph: DualGraph, order: Sequence[str]) -> BarkDivisor:
-    """Bk-transpose: the bark of the same chain with the opposite order,
-    i.e. coefficient d_(i)/d on T^(i)."""
-    return bark_chain(graph, tuple(reversed(tuple(order))))
-
-
-def _oriented_rod(graph: DualGraph, rod: Sequence[str]) -> tuple[str, ...]:
-    # deterministic order: lexicographically smallest tip first
-    ids = tuple(rod)
-    if len(ids) > 1 and ids[-1] < ids[0]:
-        ids = tuple(reversed(ids))
-    return ids
+    return BarkDivisor(cd.bark)
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,17 @@ def classify_peelable(graph: DualGraph, D: Iterable[str], exc: Iterable[str]) ->
     excset = set(exc)
     if not excset <= dset:
         raise NotPeelable("exceptional set not contained in the boundary")
-    beta = {v: branching_number(graph, [v], dset) for v in dset}
+    maximal = _maximal_twigs(graph, dset)  # first: it checks the ids of D
     # the rods and forks of D are its components that read as chains or forks
     parts = graph.connected_components(dset)
     rods = {c: chain for c in parts if (chain := _chain_order(graph, c)) is not None}
     forks = {c: f for c in parts if c not in rods and (f := _as_fork(graph, c)) is not None}
     # a maximal admissible twig is the admissible prefix of a maximal twig of
     # D; inside a rod, twigs grow from either tip (a whole rod is a rod first)
-    tips = sorted(v for v in dset if beta[v] <= 1)
-    starts = [_maximal_twig(graph, tip, dset, beta) for tip in tips]
-    starts += [t for chain in rods.values() for t in (chain, chain[::-1])]
+    starts = [*maximal.values(), *(t for chain in rods.values() for t in (chain, chain[::-1]))]
     twigs: dict[frozenset[str], tuple[str, ...]] = {}
     for t in starts:
-        prefix = tuple(itertools.takewhile(lambda v: is_admissible_chain(graph, [v]), t or ()))
+        prefix = tuple(itertools.takewhile(lambda v: is_admissible_chain(graph, [v]), t))
         if prefix:
             twigs[frozenset(prefix)] = prefix
     out: list[PeelableComponent] = []
@@ -198,7 +194,7 @@ def classify_peelable(graph: DualGraph, D: Iterable[str], exc: Iterable[str]) ->
             order = rods[comp]
             if not is_admissible_chain(graph, order):
                 raise NotPeelable(f"rod {sorted(comp)} is not admissible")
-            out.append(PeelableComponent("rod", comp, twig=_oriented_rod(graph, order)))
+            out.append(PeelableComponent("rod", comp, twig=order))
         elif comp in twigs:
             out.append(PeelableComponent("twig", comp, twig=twigs[comp]))
         elif comp in forks:
@@ -214,9 +210,7 @@ def classify_peelable(graph: DualGraph, D: Iterable[str], exc: Iterable[str]) ->
 
 
 def fork_delta(graph: DualGraph, f: Fork) -> Fraction:
-    return sum(
-        (Fraction(1, chain_data(graph, t).d) for t in f.twigs), ZERO
-    )
+    return sum((chain_data(graph, t).delta for t in f.twigs), ZERO)
 
 
 def _fork_admissible(graph: DualGraph, f: Fork) -> bool:
@@ -233,16 +227,13 @@ def bark_fork(graph: DualGraph, f: Fork) -> BarkDivisor:
     with u = (sum delta(T_i) - 1) / (-E0^2 - sum ind(T_i-transposed))."""
     if not _fork_admissible(graph, f):
         raise NotAdmissible(f"fork at {f.center!r} is not admissible")
-    num = fork_delta(graph, f) - 1
-    den = Fraction(graph.vertex(f.center).weight)
-    for t in f.twigs:
-        den -= chain_data(graph, tuple(reversed(t))).inductance
-    u = num / den
+    cds = [chain_data(graph, t) for t in f.twigs]
+    num = sum((cd.delta for cd in cds), ZERO) - 1
+    u = num / (graph.vertex(f.center).weight - sum((cd.transposed_inductance for cd in cds), ZERO))
     coeffs: Subdivisor = {f.center: u}
-    for t in f.twigs:
-        up = bark_chain(graph, t).coefficients
-        down = bark_chain_reversed(graph, t).coefficients
-        for v in t:
+    for cd in cds:
+        up, down = cd.bark, cd.transposed_bark
+        for v in cd.vertices:
             coeffs[v] = u * down[v] + up[v]
     return BarkDivisor(coeffs, fork_factor=u)
 
@@ -250,20 +241,25 @@ def bark_fork(graph: DualGraph, f: Fork) -> BarkDivisor:
 def bark_D(graph: DualGraph, D: Iterable[str], exc: Iterable[str]) -> BarkDivisor:
     """Bk_D of a disjoint union of maximal admissible twigs, admissible rods
     and admissible forks of D, extended additively."""
+    return _bark_of(graph, classify_peelable(graph, D, exc))
+
+
+def _bark_of(graph: DualGraph, comps: Iterable[PeelableComponent]) -> BarkDivisor:
+    """Bk_D of these peelable parts: Bk' of a twig, Bk' + Bk-transpose of a
+    rod, the fork bark of a fork."""
     coeffs: Subdivisor = {}
     factor = None
-    for comp in classify_peelable(graph, D, exc):
+    for comp in comps:
         if comp.kind == "twig":
-            part = bark_chain(graph, comp.twig).coefficients
+            coeffs.update(chain_data(graph, comp.twig).bark)
         elif comp.kind == "rod":
-            up = bark_chain(graph, comp.twig).coefficients
-            down = bark_chain_reversed(graph, comp.twig).coefficients
-            part = {v: up[v] + down[v] for v in comp.twig}
+            cd = chain_data(graph, comp.twig)
+            up, down = cd.bark, cd.transposed_bark
+            coeffs.update({v: up[v] + down[v] for v in cd.vertices})
         else:
             bd = bark_fork(graph, comp.fork)
-            part = bd.coefficients
+            coeffs.update(bd.coefficients)
             factor = bd.fork_factor
-        coeffs.update(part)
     return BarkDivisor(coeffs, fork_factor=factor)
 
 
@@ -292,14 +288,13 @@ def coefficient_divisor_uniform(
     admissible rods and admissible forks of the reduced boundary."""
     r = Fraction(r)
     graph = model.graph
-    dset = set(model.boundary_flagged)
     excset = set(exc)
-    comps = classify_peelable(graph, dset, excset)
-    bk = bark_D(graph, dset, excset).coefficients
+    comps = classify_peelable(graph, model.boundary_flagged, excset)
+    bk = _bark_of(graph, comps).coefficients
     values: Subdivisor = {v: ONE - bk[v] for v in excset}
     for comp in comps:
         if comp.kind == "twig":
-            down = bark_chain_reversed(graph, comp.twig).coefficients
+            down = chain_data(graph, comp.twig).transposed_bark
             for v in comp.twig:
                 values[v] -= (1 - r) * down[v]
     return CoefficientVector(values)
@@ -338,11 +333,6 @@ class GermGraph:
         """theta_j of every decorated curve (theta_j > 0); shared, not to be
         changed."""
         return {v.id: v.decoration for v in self.graph.vertices if v.decoration > 0}
-
-    def u_of(self, vid: str) -> Fraction:
-        v = self.graph.vertex(vid)
-        beta = branching_number(self.graph, [vid])
-        return 2 - beta - v.decoration - 2 * v.genus
 
     def is_minimal(self) -> bool:
         return all(

@@ -19,7 +19,8 @@ from .graph import (
     ZERO,
     _as_fork,
     _chain_order,
-    _maximal_twig,
+    _branching_numbers,
+    _maximal_twigs,
     branching_number,
     contracts_to_smooth_point,
     is_negative_definite,
@@ -405,23 +406,19 @@ def _twig_inequality(
         return None
     graph = model.graph
     dset = set(model.boundary_flagged)
-    beta = {v: branching_number(graph, [v], dset) for v in dset}
+    twigs = _maximal_twigs(graph, dset).values()
     delta = ZERO
     ind_t = ZERO
     for comp in comps:
         # the component must open the maximal twig of D from one of its tips
-        order = None
-        for tip in sorted(v for v in comp & dset if beta[v] <= 1):
-            t = _maximal_twig(graph, tip, dset, beta)
-            if t is not None and frozenset(t[: len(comp)]) == comp:
-                order = t[: len(comp)]
-                break
+        order = next((t[: len(comp)] for t in twigs if frozenset(t[: len(comp)]) == comp), None)
         if order is None or not is_admissible_chain(graph, order):
             return None
         if sum(graph.mult(vid, w) for w in comp) != 1 or graph.mult(vid, order[-1]) != 1:
             return None
-        delta += chain_data(graph, order).delta
-        ind_t += chain_data(graph, tuple(reversed(order))).inductance
+        cd = chain_data(graph, order)
+        delta += cd.delta
+        ind_t += cd.transposed_inductance
     k = len(comps)
     e = set().union(*comps) if comps else set()
     lhs = r * branching_number(graph, [vid], dset - e)
@@ -504,7 +501,8 @@ def _redundant_case(
     shape = _chain_shape(model, vid, comps)
     l_dot_r = _l_dot_R(model, vid, frozenset(e))
     e_dot_r = _e_dot_R(model, vid, frozenset(e))
-    beta = branching_number(graph, [vid], dset) + graph.vertex(vid).decoration
+    betas = _branching_numbers(graph, dset)
+    beta = betas[vid] + graph.vertex(vid).decoration
     if r == 1:
         return "(1)"
     # specific numeric families first; they may overlap the generic (2) cases
@@ -531,15 +529,12 @@ def _redundant_case(
         if contracts_to_smooth_point(graph, {vid} | e):
             return "(2a)"
         # l + E is a twig of D when it is a chain of non-branching components
-        # containing a tip of D, and a rod when it is a whole chain component
+        # containing a tip of D; a rod, a whole chain component, holds two
         le = {vid} | e
         in_twig = (
             shape is not None
-            and all(branching_number(graph, [u], dset) <= 2 for u in le)
-            and (
-                any(branching_number(graph, [u], dset) <= 1 for u in le)
-                or branching_number(graph, le, dset) == 0
-            )
+            and all(betas[u] <= 2 for u in le)
+            and any(betas[u] <= 1 for u in le)
         )
         return "(2b)" if in_twig else "(2a)"
     return "(unlisted)"

@@ -9,7 +9,7 @@ from typing import Iterable
 
 from logsurf import (
     DualGraph, GermGraph, HypothesisViolated, LogSurfaceModel, MMPRun, NotApplicable, NotATree,
-    discriminant, is_negative_definite,
+    branching_number, discriminant, is_negative_definite,
 )
 from logsurf.graph import ONE, ZERO
 from logsurf.linalg import bareiss_det
@@ -57,6 +57,12 @@ def _tree_paths(graph: DualGraph) -> dict[tuple[str, str], tuple[str, ...]]:
     return paths
 
 
+def u_of(germ: GermGraph, vid: str) -> Fraction:
+    """u(E_j) = 2 - beta(E_j) - theta_j - 2g_j."""
+    v = germ.graph.vertex(vid)
+    return 2 - branching_number(germ.graph, [vid]) - v.decoration - 2 * v.genus
+
+
 def tree_coefficient_identity(germ: GermGraph, j: str) -> Fraction:
     """1 - cf(E_j) computed by the closed tree formula
     (sum_i u(E_i) d(E - path(E_i, E_j))) / d(E)."""
@@ -69,7 +75,7 @@ def tree_coefficient_identity(germ: GermGraph, j: str) -> Fraction:
         if (i, j) not in paths:
             raise NotATree(f"{i!r} and {j!r} lie in different components")
         rest = set(graph.ids) - set(paths[(i, j)])
-        total += germ.u_of(i) * discriminant(graph, rest)
+        total += u_of(germ, i) * discriminant(graph, rest)
     return total / d_all
 
 

@@ -391,6 +391,29 @@ def test_minus_two_bench_is_not_a_germ():
         GermGraph(g)
 
 
+@pytest.mark.parametrize("arms", [(2, 2, 2), (1, 3, 3), (1, 2, 5)])
+def test_affine_e_forks_are_not_germs(arms):
+    # E~6, E~7, E~8: the all-(-2) forks with delta = 1, which classify_germ
+    # need not tell apart from LC-Fork
+    from logsurf import NotNegativeDefinite
+
+    twigs = [(2,) * n for n in arms]
+    with pytest.raises(NotNegativeDefinite):
+        GermGraph(fork_graph(2, *twigs))
+    assert classify_germ(GermGraph(fork_graph(3, *twigs))).tag == "LC-Fork"
+
+
+def test_affine_d_bench_is_not_a_germ():
+    # D~7: two (-2)-feet at each end of an all-(-2) central chain of four
+    from logsurf import NotNegativeDefinite
+
+    core = chain_graph(2, 2, 2, 2)
+    feet = [Vertex(f"f{i}", 2) for i in range(4)]
+    ends = [Edge("v0", "f0"), Edge("v0", "f1"), Edge("v3", "f2"), Edge("v3", "f3")]
+    with pytest.raises(NotNegativeDefinite):
+        GermGraph(DualGraph(core.vertices + tuple(feet), core.edges + tuple(ends)))
+
+
 def test_germ_checks_negative_definiteness_once(monkeypatch):
     import logsurf.graph
     import logsurf.invariants

@@ -310,6 +310,38 @@ def _write_document(tmp_path, doc):
     return path
 
 
+def test_a_fixture_loads_as_its_text_parses():
+    for path in sorted(FIXDIR.glob("*.json")):
+        assert load_fixture(path.stem).model == parse_document(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "name", ["invalid-json", "duplicate-field", "duplicate-root-field", "integer-5001-digits",
+             "nested-100000-deep", "root-unknown-field"],
+)
+def test_a_fixture_is_read_like_a_document(monkeypatch, name):
+    import logsurf.documents
+
+    doc, message = _MESSAGES[name]
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+
+    class Text:  # the bundled resources, holding one fixture of this text
+        def files(self, package):
+            return self
+
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return text
+
+    monkeypatch.setattr(logsurf.documents, "resources", Text())
+    for read in (lambda: load_fixture("any"), lambda: parse_document(text)):
+        with pytest.raises(ParseError) as info:
+            read()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("doc, message", list(_MESSAGES.values()), ids=list(_MESSAGES))
 def test_reader_messages_are_exact(capsys, tmp_path, doc, message):
     path = _write_document(tmp_path, doc)

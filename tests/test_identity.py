@@ -17,6 +17,15 @@ and payload) on seeded germs, and ``classify_peelable`` and ``bark_D``
 trees, cycles, double edges, benches (also with an all-(-2) central chain),
 forks on the log canonical boundary and half-benches, so every germ tag
 comes up at least ten times.
+
+A fourth digest pins the boundary reading of the redundancy test and of the
+closed-form coefficients: ``redundant`` (vertex, kinds, case tag, the twig
+inequality and the met components) for both kinds, and
+``coefficient_divisor_uniform`` (values, or error class and message) on the
+peeled set and on one more subset of the boundary, on 300 seeded log smooth
+trees of 6-14 curves with r = 1/3, 1/2, 2/3 and 1 in turn.  The draws give
+twigs, rods, forks and non-peelable sets, and verdicts with and without a
+twig inequality, at least ten times each.
 """
 
 import hashlib
@@ -25,7 +34,10 @@ from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
-from logsurf import DualGraph, Edge, GermGraph, LogSurfError, Vertex, bark_D, classify_germ
+from logsurf import (
+    DualGraph, Edge, GermGraph, LogSurfaceModel, LogSurfError, Vertex, bark_D, classify_germ,
+    coefficient_divisor_uniform, peel, redundant,
+)
 from logsurf.cli import COMMANDS, main
 from logsurf.invariants import classify_peelable
 
@@ -38,6 +50,7 @@ DIGESTS = {
     "json": "04650d2ff546d7ffcc3040d467e0c1409e8ddfcb0ae95a434300f9a6c82a7d8b",
     "text": "684b472d31d2598001d7bc5e7fc38f1150ecdff9dca69e2f791002fb583ab957",
     "shapes": "aa084be15cf7a188dca8133d922abfbc8befa6e38f43442fb14c76e522e82250",
+    "redundant": "0d34a493552da37e7a5a02cb93b09de77421067eb6a830acac445c48c9b503bc",
 }
 
 
@@ -215,3 +228,63 @@ def test_shape_answers_are_identical():
     assert min(tags[t] for t in _TAGS) >= 10, tags
     assert min(kinds[k] for k in ("twig", "rod", "fork", "NotPeelable")) >= 10, kinds
     assert h.hexdigest() == DIGESTS["shapes"]
+
+
+# -- redundancy and uniform coefficient answers ------------------------------------
+
+
+def _tree_draw(rng, r):
+    """A log smooth tree of 6-14 curves of weights 1-4, each curve on the
+    boundary with probability 0.6, and a subset of the boundary: one of its
+    components, a run walked from one of its tips, or any subset."""
+    n = rng.randint(6, 14)
+    vs = tuple(Vertex(f"t{i:02d}", rng.choice((1, 2, 2, 3, 4)), boundary=F(int(rng.random() < 0.6)))
+               for i in range(n))
+    es = tuple(Edge(f"t{rng.randrange(i):02d}", f"t{i:02d}") for i in range(1, n))
+    model = LogSurfaceModel(DualGraph(vs, es), frozenset(), r)
+    g, dset = model.graph, set(model.boundary_flagged)
+    if not dset:
+        return model, []
+    roll = rng.random()
+    if roll < 0.4:
+        exc = rng.choice(g.connected_components(dset))
+    elif roll < 0.8:
+        tips = [v for v in sorted(dset) if sum(m for w, m in g.adjacency[v].items() if w in dset) <= 1]
+        run = [rng.choice(tips or sorted(dset))]
+        for _ in range(rng.randint(0, 3)):
+            nxt = [w for w in g.adjacency[run[-1]] if w in dset and w not in run]
+            if len(nxt) != 1:
+                break
+            run.append(nxt[0])
+        exc = run
+    else:
+        exc = [v for v in sorted(dset) if rng.random() < 0.4]
+    return model, sorted(exc)
+
+
+def test_redundancy_and_uniform_coefficient_answers_are_identical():
+    rng = random.Random(15)
+    h = hashlib.sha256()
+    cases, seen = Counter(), Counter()
+    for i in range(300):
+        r = (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4]
+        model, exc = _tree_draw(rng, r)
+        for kind in ("first", "second"):
+            peeling = peel(model, kind=kind, pure=True)
+            verdicts = [(v.vertex, v.kind, v.self_kind, v.case, v.inequality,
+                         tuple(tuple(sorted(c)) for c in v.components))
+                        for v in redundant(model, peeling, kind=kind)]
+            cases.update(v[3] for v in verdicts)
+            seen.update("no inequality" if v[4] is None else "inequality" for v in verdicts)
+            values = []
+            for s in (sorted(peeling.exceptional), exc):
+                values.append(_answer(lambda: coefficient_divisor_uniform(model, s, r),
+                                      lambda cv: sorted(cv.values.items())))
+                comps = _answer(lambda: classify_peelable(model.graph, model.boundary_flagged, s),
+                                lambda cs: [c.kind for c in cs])
+                seen.update(comps if isinstance(comps, list) else [comps[0]])
+            h.update(repr((verdicts, values)).encode() + b"\0")
+    assert len(cases) >= 6, cases
+    kinds = ("inequality", "no inequality", "twig", "rod", "fork", "NotPeelable")
+    assert min(seen[k] for k in kinds) >= 10, seen
+    assert h.hexdigest() == DIGESTS["redundant"]

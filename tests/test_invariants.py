@@ -12,6 +12,7 @@ from logsurf import (
     LogSurfaceModel,
     NotAChain,
     NotPeelable,
+    UnknownVertex,
     Vertex,
     bark_chain,
     bark_D,
@@ -22,7 +23,7 @@ from logsurf import (
     eps_check,
     total_coefficient,
 )
-from logsurf.invariants import fork_delta
+from logsurf.invariants import classify_peelable, fork_delta
 from logsurf.graph import find_shapes
 from logsurf.linalg import solve_int
 
@@ -219,6 +220,24 @@ def test_bark_D_rejects_non_peelable():
     g = chain_graph(1, 0)
     with pytest.raises(NotPeelable):
         bark_D(g, g.ids, ["v0"])
+
+
+def test_unknown_ids_in_the_boundary_are_unknown_vertices():
+    g = chain_graph(2, 3, 2)
+    calls = {
+        "classify_peelable": lambda D, exc: classify_peelable(g, D, exc),
+        "bark_D": lambda D, exc: bark_D(g, D, exc),
+        "find_shapes": lambda D, exc: find_shapes(g, D),
+    }
+    for name, call in calls.items():
+        for D, exc in ((["v0", "zz"], ["v0"]), (["v0", "zz"], ["zz"]), (["zz"], [])):
+            with pytest.raises(UnknownVertex, match="no vertex 'zz'"):
+                call(D, exc)
+        if name != "find_shapes":  # an id of exc outside D is not peeled
+            with pytest.raises(NotPeelable, match="not contained in the boundary"):
+                call(["v0"], ["zz"])
+    with pytest.raises(NotPeelable, match="not contained in the boundary"):
+        coefficient_divisor_uniform(model(chain_graph(2, 3, boundary=(0, 1)), r=F(1, 2)), ["zz"], F(1, 2))
 
 
 def test_fork_discriminant_identity():

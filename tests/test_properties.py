@@ -164,6 +164,7 @@ def test_model_answers_equal_a_whole_block_solve(case):
         assert model.self_int(v) == -g.by_id[v].weight + sum(c * _mult(g, v, e) for e, c in x.items())
         k = k_dot(v) + sum(c * _mult(g, v, e) for e, c in k_corr.items())
         assert model.canonical_intersect({v: F(1)}) == k
+        assert model.k_pairing(v) == k
         lk = (k_dot(v) + g.by_id[v].decoration + sum(c * _mult(g, v, b) for b, c in bd.items())
               + sum(c * _mult(g, v, e) for e, c in cf.items()))
         assert model.lk_pairing(v) == lk
