@@ -13,17 +13,26 @@ components (the singular points), so each component is factored once, by
 ``linalg.factor_definite``, and the factorization is cached on its
 ``DualGraph``: a contraction refactors only the component it changes, and
 every solve runs component by component from the cached fraction-free LU
-factor, one right-hand side at a time (no inverse is built).
+factor, one right-hand side at a time (no inverse is built).  Solves work in
+integers: the right-hand side is scaled to integers, and the answer on a
+component (its coefficients, its K-correction) is kept as integer numerators
+over one positive denominator, d times that scale, d = det(-Q|component).
+A pairing adds such integers over one denominator, and a ``Fraction`` is
+built only where a value leaves the model: the answers of ``self_int``,
+``k_pairing``, ``lk_pairing`` and ``pullback``, and the ``coefficients``
+view.  The run layers read an answer's sign off its numerator.
 
 The same holds one level up.  The questions a run asks of a curve l have
 local answers: l^2 and l.K depend only on l and on the contracted components
 l meets, l.(K + D) on those and on the uniform coefficient r; the
 coefficients and the K-correction of a component depend on the component
-(and r), and the support of D on r.  All models of one graph share one table
-of answers on the ``DualGraph`` (``_memo``), keyed by that local state, so a
-question is computed once however many models of the graph ask it.  The
-table lives and dies with its graph; nothing is shared between graphs.  The
-component partition of a contracted set is found once per graph too
+(and r), and the support of D on r.  A key holds r as the integer pair
+(numerator, denominator): a ``Fraction``'s hash costs a modular inverse.
+All models of one graph share one table of answers on the ``DualGraph``
+(``_memo``), keyed by that local state, so a question is computed once
+however many models of the graph ask it.  The table lives and dies with its
+graph; nothing is shared between graphs.  The component partition of a
+contracted set is found once per graph too
 (``DualGraph.blocks``): the definiteness check finds it, and the model built
 on that set reads its solves and its keys off it.
 """
@@ -34,6 +43,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import (
@@ -54,6 +64,9 @@ ONE = Fraction(1)
 # a connected vertex set in sorted order, d = det(-Q|set) and the
 # fraction-free LU factor of -Q|set that linalg.solve_factored solves from
 Factor = tuple[tuple[str, ...], int, list[list[int]]]
+# an answer on one contracted component: a positive integer denominator, d
+# times the right-hand side's scale, and the integer numerator on each curve
+Answer = tuple[int, dict[str, int]]
 _T = TypeVar("_T")
 _MISSING = object()
 
@@ -582,13 +595,22 @@ def _coeff(v: Vertex, r: Optional[Fraction]) -> Fraction:
     return r if r is not None and v.boundary > 0 else v.boundary
 
 
-def _solve_block(block: Factor, rhs: Mapping[str, Fraction]) -> Optional[dict[str, Fraction]]:
-    """x on one component with (-Q) x = rhs there; None when rhs vanishes on it."""
+def _r_pair(r: Optional[Fraction]) -> Optional[tuple[int, int]]:
+    """``r`` as it enters a table key: its integer pair, or None."""
+    return None if r is None else (r.numerator, r.denominator)
+
+
+def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num/den + n/d over a positive denominator, as an integer pair; the
+    denominator stays when d is it."""
+    return (num + n, den) if d == den else (num * d + n * den, den * d)
+
+
+def _solve_int(block: Factor, b: list[int]) -> Answer:
+    """(d, d x) on one component with (-Q) x = b there, for the integer
+    right-hand side b in the component's order."""
     order, d, lu = block
-    b = [rhs.get(e, ZERO) for e in order]
-    if not any(b):
-        return None
-    return dict(zip(order, solve_factored(d, lu, b)))
+    return d, dict(zip(order, solve_factored(d, lu, b) if any(b) else b))
 
 
 @dataclass(frozen=True)
@@ -606,11 +628,14 @@ class LogSurfaceModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contracted", frozenset(self.contracted))
-        if self.uniform_r is not None:
-            r = Fraction(self.uniform_r)
-            if not (0 <= r <= 1):
+        r = self.uniform_r
+        if r is not None:
+            if type(r) is not Fraction:
+                r = Fraction(r)
+                object.__setattr__(self, "uniform_r", r)
+            if not 0 <= r.numerator <= r.denominator:
                 raise CoeffOutOfRange(f"uniform coefficient {r} not in [0,1]")
-            object.__setattr__(self, "uniform_r", r)
+        object.__setattr__(self, "_r_key", _r_pair(r))
         # is_negative_definite rejects an unknown id before anything else
         if not is_negative_definite(self.graph, self.contracted):
             raise NotNegativeDefinite(
@@ -626,14 +651,24 @@ class LogSurfaceModel:
     def contracted_order(self) -> tuple[str, ...]:
         return tuple(sorted(self.contracted))
 
+    @cached_property
+    def _coeffs(self) -> dict[str, Fraction]:
+        """The boundary coefficient of every curve, shared by the models of
+        the graph with this r; not to be changed."""
+        r = self.uniform_r
+        return self.graph._memo(
+            ("coeffs", self._r_key), lambda: {v.id: _coeff(v, r) for v in self.graph.vertices}
+        )
+
     def coeff(self, vid: str) -> Fraction:
-        return _coeff(self.graph.vertex(vid), self.uniform_r)
+        self.graph.vertex(vid)
+        return self._coeffs[vid]
 
     def _positive(self, r: Optional[Fraction]) -> tuple[str, ...]:
         """Vertices outside the contracted set with a positive coefficient
         under ``r``, in vertex order."""
         positive = self.graph._memo(
-            ("support", r),
+            ("support", _r_pair(r)),
             lambda: tuple(v.id for v in self.graph.vertices if _coeff(v, r) > 0),
         )
         return tuple(v for v in positive if v not in self.contracted)
@@ -670,14 +705,14 @@ class LogSurfaceModel:
 
     # -- exact intersection theory on the contracted model ----------------
 
-    def _by_component(
-        self, values: Callable[[frozenset[str]], dict[str, Fraction]]
-    ) -> dict[str, Fraction]:
-        """The per-component ``values`` joined over the contracted set, in
-        ``contracted_order``."""
+    def _view(self, answer: Callable[[frozenset[str]], Answer]) -> dict[str, Fraction]:
+        """The per-component integer ``answer`` as Fractions over the
+        contracted set, in ``contracted_order``."""
         out: dict[str, Fraction] = {}
         for comp in self._blocks:
-            out.update(values(comp))
+            den, nums = answer(comp)
+            for e, n in nums.items():
+                out[e] = Fraction(n, den)
         return {e: out[e] for e in self.contracted_order}
 
     @cached_property
@@ -691,10 +726,16 @@ class LogSurfaceModel:
 
     def _solve(self, rhs: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """x on the contracted block with (-Q) x = rhs, solved on the
-        components that rhs meets; x is 0 on the others."""
+        components that rhs meets; x is 0 on the others.  On each, rhs is
+        scaled to integers and x divided out once."""
         out: dict[str, Fraction] = {}
         for block in self._blocks.values():
-            out.update(_solve_block(block, rhs) or ())
+            rs = [rhs.get(e, ZERO) for e in block[0]]
+            if any(rs):
+                scale = lcm(*(c.denominator for c in rs))
+                d, x = _solve_int(block, [c.numerator * (scale // c.denominator) for c in rs])
+                den = d * scale
+                out.update((e, Fraction(n, den)) for e, n in x.items())
         return out
 
     def _contact(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -726,27 +767,39 @@ class LogSurfaceModel:
 
     def self_int(self, vid: str) -> Fraction:
         """image(v)^2 on the contracted model."""
-        self.graph.vertex(vid)
+        graph = self.graph
+        v = graph.vertex(vid)
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted; pull back its image instead")
-        return self.graph._memo(
-            ("self_int", vid, self._met(vid)), lambda: self.intersect({vid: ONE}, {vid: ONE})
-        )
+        met = self._met(vid)
 
-    def _component_k_correction(self, comp: frozenset[str]) -> dict[str, Fraction]:
+        def square() -> Fraction:
+            # -w + c.x summed over the met components, c the contact vector of
+            # v with a component and x the pullback correction, (-Q) x = c
+            # there; the solve gives d x in integers
+            row = graph.adjacency[vid]
+            num, den = -v.weight, 1
+            for comp in met:
+                order, d, lu = self._blocks[comp]
+                c = [row.get(e, 0) for e in order]
+                x = solve_factored(d, lu, c)
+                num, den = _add(num, den, sum(ci * xi for ci, xi in zip(c, x)), d)
+            return Fraction(num, den)
+
+        return graph._memo(("self_int", vid, met), square)
+
+    def _component_k_correction(self, comp: frozenset[str]) -> Answer:
         # pullback of the image of K on one component: K + sum u_i E_i with
         # (K + sum)/E_j = 0, i.e. sum_i u_i (-E_i.E_j) = K.E_j
-        return self.graph._memo(
-            ("k_correction", comp),
-            lambda: _solve_block(
-                self._blocks[comp], {e: Fraction(self.graph.k_dot(e)) for e in comp}
-            )
-            or dict.fromkeys(comp, ZERO),
-        )
+        def solve() -> Answer:
+            block = self._blocks[comp]
+            return _solve_int(block, [self.graph.k_dot(e) for e in block[0]])
+
+        return self.graph._memo(("k_correction", comp), solve)
 
     @cached_property
     def _k_correction(self) -> dict[str, Fraction]:
-        return self._by_component(self._component_k_correction)
+        return self._view(self._component_k_correction)
 
     def canonical_intersect(self, A: Mapping[str, Fraction]) -> Fraction:
         """A . K on the contracted model (K from adjunction plus Mumford
@@ -757,59 +810,92 @@ class LogSurfaceModel:
                 raise UnknownVertex(f"{u!r} is contracted")
             total += c * self.graph.k_dot(u)
         for e, x in self._contact(A).items():
-            total += x * self._component_k_correction(self._component_of[e])[e]
+            total += x * self._k_correction[e]
         return total
 
     def k_pairing(self, vid: str) -> Fraction:
         """image(v) . K on the contracted model: canonical_intersect({vid: 1})."""
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
-        self.graph.vertex(vid)
-        return self.graph._memo(
-            ("k_pairing", vid, self._met(vid)), lambda: self.canonical_intersect({vid: ONE})
-        )
+        graph = self.graph
+        graph.vertex(vid)
+
+        def pairing() -> Fraction:
+            # K.v plus m u_w for each contracted neighbour w, u the
+            # K-correction of its component, in integers over its d
+            num, den = graph.k_dot(vid), 1
+            comp_of = self._component_of
+            for w, m in graph.adjacency[vid].items():
+                comp = comp_of.get(w)
+                if comp is not None:
+                    d, u = self._component_k_correction(comp)
+                    num, den = _add(num, den, m * u[w], d)
+            return Fraction(num, den)
+
+        return graph._memo(("k_pairing", vid, self._met(vid)), pairing)
 
     @cached_property
     def boundary_divisor(self) -> dict[str, Fraction]:
         return {v: self.coeff(v) for v in self.boundary_support}
 
-    def _component_coefficients(self, comp: frozenset[str]) -> dict[str, Fraction]:
+    def _component_coefficients(self, comp: frozenset[str]) -> Answer:
         """cf on one component: sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j
         for E_j in it.  Only curves outside the contracted set meet it from
         outside, so B.E_j reads their coefficients."""
 
-        def solve() -> dict[str, Fraction]:
-            graph, rhs = self.graph, {}
-            for e in comp:
-                x = Fraction(graph.k_dot(e)) + graph.vertex(e).decoration
+        def solve() -> Answer:
+            graph, coeffs = self.graph, self._coeffs
+            block = self._blocks[comp]
+            # the right-hand side term by term as integer pairs, then over
+            # the one scale that clears their denominators
+            terms = []
+            for e in block[0]:
+                theta = graph.by_id[e].decoration
+                t = [(graph.k_dot(e), 1), (theta.numerator, theta.denominator)]
                 for w, m in graph.adjacency[e].items():
-                    if w not in comp:
-                        x += self.coeff(w) * m
-                rhs[e] = x
-            return _solve_block(self._blocks[comp], rhs) or dict.fromkeys(comp, ZERO)
+                    c = coeffs[w]
+                    if c and w not in comp:
+                        t.append((m * c.numerator, c.denominator))
+                terms.append(t)
+            scale = lcm(*(q for t in terms for _, q in t))
+            d, x = _solve_int(block, [sum(n * (scale // q) for n, q in t) for t in terms])
+            return d * scale, x
 
-        return self.graph._memo(("coefficients", comp, self.uniform_r), solve)
+        return self.graph._memo(("coefficients", comp, self._r_key), solve)
 
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:
         """cf(E; current model) for every contracted vertex E: the unique
         solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j."""
-        return self._by_component(self._component_coefficients)
+        return self._view(self._component_coefficients)
 
     def lk_pairing(self, vid: str) -> Fraction:
         """image(v) . (K + D) on the contracted model.  Decorations count as
         reduced boundary contact."""
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
-        v = self.graph.vertex(vid)
+        graph = self.graph
+        v = graph.vertex(vid)
 
         def pairing() -> Fraction:
-            total = Fraction(self.graph.k_dot(vid)) + v.decoration - self.coeff(vid) * v.weight
-            for w, m in self.graph.adjacency[vid].items():
-                comp = self._component_of.get(w)
-                c = self.coeff(w) if comp is None else self._component_coefficients(comp)[w]
+            # K.v + theta_v + D.v, with D of a contracted neighbour its
+            # coefficient: integer pairs added over one denominator
+            coeffs, comp_of = self._coeffs, self._component_of
+            theta = v.decoration
+            q = theta.denominator
+            num, den = graph.k_dot(vid) * q + theta.numerator, q
+            c = coeffs[vid]
+            if c:
+                num, den = _add(num, den, -c.numerator * v.weight, c.denominator)
+            for w, m in graph.adjacency[vid].items():
+                comp = comp_of.get(w)
+                if comp is not None:
+                    d, cf = self._component_coefficients(comp)
+                    num, den = _add(num, den, m * cf[w], d)
+                    continue
+                c = coeffs[w]
                 if c:
-                    total += c * m
-            return total
+                    num, den = _add(num, den, m * c.numerator, c.denominator)
+            return Fraction(num, den)
 
-        return self.graph._memo(("lk_pairing", vid, self._met(vid), self.uniform_r), pairing)
+        return graph._memo(("lk_pairing", vid, self._met(vid), self._r_key), pairing)

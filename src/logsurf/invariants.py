@@ -291,7 +291,8 @@ def coefficient_divisor_uniform(
     excset = set(exc)
     comps = classify_peelable(graph, model.boundary_flagged, excset)
     bk = _bark_of(graph, comps).coefficients
-    values: Subdivisor = {v: ONE - bk[v] for v in excset}
+    # in id order: a set's order would move with the hash seed
+    values: Subdivisor = {v: ONE - bk[v] for v in sorted(excset)}
     for comp in comps:
         if comp.kind == "twig":
             down = chain_data(graph, comp.twig).transposed_bark

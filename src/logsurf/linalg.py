@@ -1,14 +1,17 @@
 """Exact linear algebra helpers.
 
 Determinants use fraction-free (Bareiss) elimination over the integers.
-Linear solves clear denominators first, eliminate fraction-free, then
-back-substitute over the rationals, so no floating point ever enters.
 ``factor_definite`` is the one factorization the model layer uses: a single
 fraction-free LU pass over M, without row swaps, whose pivots are the leading
 minors of M (Bareiss 1968), so it tests positive definiteness on the way.
-``solve_factored`` then solves one right-hand side at a time from that
-factor; no inverse or adjugate is ever built.  ``solve_int``,
-``leading_minors`` and ``bareiss_det`` stay as independent oracles.
+``solve_factored`` then solves one integer right-hand side b at a time from
+that factor and returns the integer vector d * x, d = det(M), by Cramer's
+rule; no inverse or adjugate is ever built, and no ``Fraction`` either.  A
+caller with a rational right-hand side scales it to integers first and
+divides once by d * scale where a value leaves it.  ``solve_int``,
+``leading_minors`` and ``bareiss_det`` stay as independent oracles;
+``solve_int`` clears denominators, eliminates fraction-free and
+back-substitutes over the rationals, so no floating point ever enters.
 """
 
 from __future__ import annotations
@@ -113,27 +116,25 @@ def factor_definite(m: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]
     return prev, a
 
 
-def solve_factored(d: int, lu: list[list[int]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """x with m x = rhs, for (d, lu) = factor_definite(m).
+def solve_factored(d: int, lu: list[list[int]], b: Sequence[int]) -> list[int]:
+    """d * x with m x = b, for (d, lu) = factor_definite(m) and an integer b.
 
-    The rhs is scaled to integers b and the Bareiss steps are replayed on
-    it; each division is exact, since every entry is then a minor of
-    [m | b].  The back-substitution works on d * x, an integer vector by
-    Cramer's rule, so each division in it is exact too.
+    The Bareiss steps are replayed on b; each division is exact, since every
+    entry is then a minor of [m | b].  The back-substitution works on d * x,
+    an integer vector by Cramer's rule, so each division in it is exact too.
+    The answer is x = (d * x) / d; nothing here divides by d.
     """
     n = len(lu)
-    scale = lcm(*(c.denominator for c in rhs))
-    b = [c.numerator * (scale // c.denominator) for c in rhs]
+    b = list(b)
     prev = 1
     for k in range(n - 1):
         p, bk = lu[k][k], b[k]
         for i in range(k + 1, n):
             b[i] = (b[i] * p - lu[i][k] * bk) // prev
         prev = p
-    x = [0] * n  # x[i] = d * scale * (m^-1 rhs)[i]
+    x = [0] * n  # x[i] = d * (m^-1 b)[i]
     for i in range(n - 1, -1, -1):
         row = lu[i]
         s = d * b[i] - sum(row[j] * x[j] for j in range(i + 1, n))
         x[i] = s // row[i]
-    den = d * scale
-    return [Fraction(v, den) for v in x]
+    return x

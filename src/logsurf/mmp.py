@@ -47,11 +47,10 @@ class CurveVerdict:
 def curve_verdict(model: LogSurfaceModel, vid: str) -> CurveVerdict:
     s = model.self_int(vid)
     p = model.lk_pairing(vid)
+    # a Fraction's sign is its numerator's
     kind = None
-    if s < 0 and p < 0:
-        kind = FIRST
-    elif s < 0 and p == 0:
-        kind = SECOND
+    if s.numerator < 0:
+        kind = FIRST if p.numerator < 0 else SECOND if p.numerator == 0 else None
     return CurveVerdict(vid, s, p, kind)
 
 
@@ -98,13 +97,14 @@ def _step(
     """The contraction of ``vid`` when its image is log exceptional (for K + D,
     or for K alone without the boundary) of one of ``kinds``, else None.  The
     pairing is tested first, so the self-intersection is asked only of curves
-    of an admitted kind."""
+    of an admitted kind.  Each sign test reads the answer's numerator."""
     p = model.lk_pairing(vid) if use_boundary else model.k_pairing(vid)
-    kind = FIRST if p < 0 else SECOND if p == 0 else None
+    n = p.numerator
+    kind = FIRST if n < 0 else SECOND if n == 0 else None
     if kind not in kinds:
         return None
     s = model.self_int(vid)
-    return Step(vid, kind, p, s) if s < 0 else None
+    return Step(vid, kind, p, s) if s.numerator < 0 else None
 
 
 def _greedy(
@@ -277,7 +277,7 @@ def _peel_candidates(
     flagged = sorted(
         v
         for v in model.boundary_flagged
-        if not pure or model.k_pairing(v) >= 0
+        if not pure or model.k_pairing(v).numerator >= 0
     )
     return lambda cur: [v for v in flagged if v not in cur.contracted]
 
@@ -373,7 +373,7 @@ def redundant(
     peeled = peeling.model
     out = []
     for v in sorted(set(model.boundary_flagged) - peeling.exceptional):
-        if model.k_pairing(v) >= 0:
+        if model.k_pairing(v).numerator >= 0:
             continue
         verdict = _step(peeled, v, _KINDS[kind], True)
         if verdict is None:
@@ -441,7 +441,7 @@ def almost_log_exceptional(
         verdict = _step(peeled, v, _KINDS[kind], True)
         if verdict is None:
             continue
-        if verdict.kind == SECOND and model.k_pairing(v) == 0:
+        if verdict.kind == SECOND and model.k_pairing(v).numerator == 0:
             continue
         comps = _met_components(model, peeling.exceptional, v)
         case = _ale_case(model, v, comps)
@@ -764,7 +764,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
             (
                 v
                 for v in sorted(peeled.noncontracted())
-                if cur.k_pairing(v) < 0 and _step(peeled, v, kinds, True)
+                if cur.k_pairing(v).numerator < 0 and _step(peeled, v, kinds, True)
             ),
             None,
         )
@@ -783,7 +783,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
         k_trivial = sorted(
             v
             for v in peeled.noncontracted()
-            if v not in flagged and cur.k_pairing(v) == 0
+            if v not in flagged and cur.k_pairing(v).numerator == 0
         )
         sweep = _greedy(
             peeled, lambda m: [v for v in k_trivial if v not in m.contracted], (SECOND,), True

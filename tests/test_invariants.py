@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -333,6 +337,29 @@ def test_coefficient_divisor_range_for_pure_peeling():
     g2 = chain_graph(2, 2, boundary=(0, 1))
     cv2 = coefficient_divisor_uniform(model(g2, r=F(1, 2)), ["v0", "v1"], F(1, 2))
     assert set(cv2.values.values()) == {F(0)}
+
+
+def test_coefficient_divisor_keys_do_not_depend_on_the_hash_seed():
+    # the [2,3,2] twig of a five-curve boundary chain; its values are keyed
+    # in id order under every hash seed
+    script = (
+        "from fractions import Fraction as F\n"
+        "from logsurf import DualGraph, Edge, LogSurfaceModel, Vertex, coefficient_divisor_uniform\n"
+        "g = DualGraph(tuple(Vertex(f'v{i}', w, boundary=F(1)) for i, w in enumerate((2, 3, 2, 1, 2))),\n"
+        "              tuple(Edge(f'v{i}', f'v{i + 1}') for i in range(4)))\n"
+        "m = LogSurfaceModel(g, frozenset(), F(1, 2))\n"
+        "print(list(coefficient_divisor_uniform(m, ['v2', 'v0', 'v1'], F(1, 2)).values))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, check=True, text=True,
+        ).stdout
+        for seed in ("1", "3")
+    ]
+    assert outs == ["['v0', 'v1', 'v2']\n"] * 2
 
 
 # -- appendix identities ----------------------------------------------------------

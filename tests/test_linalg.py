@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from logsurf.linalg import bareiss_det, factor_definite, leading_minors, solve_factored, solve_int
+
+
+def _over(x, den):
+    """The integer vector x divided by den, as Fractions."""
+    return [Fraction(v, den) for v in x]
 
 
 def naive_det(m):
@@ -73,10 +79,12 @@ def test_factor_definite_is_the_minors_test_and_the_inverse():
         # the pivots on the diagonal are the leading minors
         assert [lu[k][k] for k in range(n)] == minors
         for c in range(n):
-            unit = [Fraction(int(i == c)) for i in range(n)]
-            assert solve_factored(d, lu, unit) == solve_int(m, unit)
+            unit = [int(i == c) for i in range(n)]
+            assert _over(solve_factored(d, lu, unit), d) == solve_int(m, [Fraction(u) for u in unit])
         rhs = [Fraction(rhs_rng.randint(-9, 9), rhs_rng.randint(1, 12)) for _ in range(n)]
-        assert solve_factored(d, lu, rhs) == solve_int(m, rhs)
+        scale = lcm(*(c.denominator for c in rhs))
+        b = [int(c * scale) for c in rhs]
+        assert _over(solve_factored(d, lu, b), d * scale) == solve_int(m, rhs)
     assert min(seen.values()) >= 30, seen
 
 
@@ -85,7 +93,60 @@ def test_factor_definite_small_cases():
     assert solve_factored(1, [], []) == []
     d, lu = factor_definite([[2, -1], [-1, 2]])
     assert (d, lu) == (3, [[2, -1], [-1, 3]])  # the multiplier -1 stays below the pivot
-    assert solve_factored(d, lu, [Fraction(1), Fraction(0)]) == [Fraction(2, 3), Fraction(1, 3)]
-    assert solve_factored(d, lu, [Fraction(1, 2), Fraction(-1, 3)]) == [Fraction(2, 9), Fraction(-1, 18)]
+    assert _over(solve_factored(d, lu, [1, 0]), d) == [Fraction(2, 3), Fraction(1, 3)]
+    # [1/2, -1/3] scaled by 6
+    assert _over(solve_factored(d, lu, [3, -2]), d * 6) == [Fraction(2, 9), Fraction(-1, 18)]
     assert factor_definite([[0, 1], [1, 2]]) is None  # zero first pivot, no row swap
     assert factor_definite([[1, 2], [2, 1]]) is None  # negative second minor
+
+
+def _definite(rng, n):
+    """A seeded positive definite symmetric integer matrix of size n: each
+    diagonal entry exceeds the rest of its row in absolute value, by 1-3."""
+    a = [[rng.randint(-3, 3) if i < j else 0 for j in range(n)] for i in range(n)]
+    m = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        off = sum(abs(v) for v in m[i])
+        m[i][i] = off + rng.randint(1, 3)
+    return m
+
+
+def test_solve_factored_over_d_is_solve_int():
+    # integer right-hand sides, many of them with zero entries: a zero
+    # leading entry, zeros in the middle, all zero but the last, all zero
+    rng = random.Random(17)
+    shapes = {"zero lead": 0, "zero inside": 0, "last only": 0, "zero": 0}
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = _definite(rng, n)
+        d, lu = factor_definite(m)
+        kind = rng.choice(("dense", "zero lead", "zero inside", "last only", "zero"))
+        b = [rng.randint(-9, 9) or 1 for _ in range(n)]
+        if kind == "zero lead":
+            k = rng.randint(1, max(1, n - 1))
+            b[:k] = [0] * k
+        elif kind == "zero inside":
+            b[rng.randrange(n)] = 0
+        elif kind == "last only":
+            b = [0] * (n - 1) + [rng.choice((-2, -1, 1, 3))]
+        elif kind == "zero":
+            b = [0] * n
+        if kind in shapes:
+            shapes[kind] += 1
+        assert d == bareiss_det(m) > 0
+        x = solve_factored(d, lu, b)
+        assert all(type(v) is int for v in x)
+        assert _over(x, d) == solve_int(m, [Fraction(v) for v in b])
+        # d x is m^-1 b times d, so m (d x) = d b
+        assert [sum(row[j] * x[j] for j in range(n)) for row in m] == [d * v for v in b]
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_solve_factored_leaves_b_alone_and_solves_the_empty_matrix():
+    assert factor_definite([]) == (1, [])
+    assert solve_factored(1, [], []) == []
+    d, lu = factor_definite([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    b = [0, 0, 1]
+    assert solve_factored(d, lu, b) == [1, 2, 3]  # d = 4: x = (1/4, 1/2, 3/4)
+    assert b == [0, 0, 1]
+    assert solve_factored(d, lu, (0, 1, 0)) == [2, 4, 2]

@@ -14,6 +14,7 @@ from logsurf import (
     almost_minimalize,
     enumerate_runs,
     eps_check,
+    fixture_corpus,
     is_negative_definite,
     is_partial_mmp_run,
     load_fixture,
@@ -24,7 +25,8 @@ from logsurf import (
     run_mmp,
     squeeze,
 )
-from logsurf.mmp import Step, _step, curve_verdict, log_exceptional
+from logsurf.graph import _branching_numbers, contracts_to_smooth_point
+from logsurf.mmp import Step, _chain_shape, _step, curve_verdict, log_exceptional
 
 from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
 from oracles import ale_characterization, is_log_smooth_output, peeling_from, verify_run
@@ -32,6 +34,27 @@ from oracles import ale_characterization, is_log_smooth_output, peeling_from, ve
 
 def with_r(m, r):
     return LogSurfaceModel(m.graph, m.contracted, F(r))
+
+
+def test_answers_leave_the_package_as_fractions():
+    # the model layer computes in integers; what leaves it is a Fraction,
+    # also where the value is 0 or an integer (never an int or a pair)
+    seen = {"zero": 0, "integer": 0, "proper": 0}
+    for fx in fixture_corpus():
+        for r in (None, F(1, 2), F(2, 3)):
+            m = fx.model if r is None else with_r(fx.model, r)
+            values = list(m.coefficients.values())
+            for kind in ("first", "second"):
+                run = run_mmp(m, kind=kind)
+                values += [x for s in run.steps for x in (s.pairing, s.self_int)]
+                values += [x for v in log_exceptional(run.final) for x in (v.self_int, v.pairing)]
+                values += list(run.final.coefficients.values())
+                for v in (*redundant(m, kind=kind), *almost_log_exceptional(m, kind=kind)):
+                    values += [v.pairing, v.self_int]
+            for x in values:
+                assert type(x) is F, (fx.name, r, x)
+                seen["zero" if x == 0 else "integer" if x.denominator == 1 else "proper"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- log exceptional detection ---------------------------------------------------
@@ -192,6 +215,28 @@ def test_redundant_superfluous_r1():
     m = model(g, r=1)
     red = {v.vertex: v for v in redundant(m)}
     assert "v0" in red and red["v0"].kind == "first" and red["v0"].case == "(1)"
+
+
+def test_redundant_tip_clause_tags_a_chain_inside_D_2a():
+    # D is the chain a - l - t - b; the smooth point c off D, over the
+    # (-3)-curve t, makes t K-trivial and log exceptional of the second kind,
+    # so the second-kind pure peeling contracts t alone.  Then l + E = l + t
+    # is a chain [1, 3] that does not contract to a smooth point, and both
+    # of its curves have beta_D = 2: no tip of D lies on it, so it is not a
+    # twig of D and the tag is (2a), decided by the tip clause alone.
+    vs = (Vertex("a", 4, boundary=F(1)), Vertex("l", 1, boundary=F(1)),
+          Vertex("t", 3, boundary=F(1)), Vertex("b", 4, boundary=F(1)), Vertex("c", 1))
+    g = DualGraph(vs, (Edge("a", "l"), Edge("l", "t"), Edge("t", "b"), Edge("c", "t")))
+    m = LogSurfaceModel(g, frozenset({"c"}), F(1, 3))
+    peeling = peel(m, kind="second")
+    assert peeling.exceptional == {"t"}
+    (v,) = redundant(m, peeling, kind="second")
+    assert (v.vertex, v.kind, v.self_kind, v.components) == ("l", "first", "first", (frozenset("t"),))
+    assert (v.pairing, v.self_int) == (F(-2, 3), F(-1, 2))
+    assert _chain_shape(m, "l", v.components) == (1, 3)
+    assert not contracts_to_smooth_point(g, {"l", "t"})
+    assert {u: _branching_numbers(g, m.boundary_flagged)[u] for u in "lt"} == {"l": 2, "t": 2}
+    assert v.case == "(2a)"
 
 
 # -- almost log exceptional curves ---------------------------------------------------
