@@ -4,13 +4,11 @@ from .errors import (
     CoeffOutOfRange,
     DanglingEdge,
     DuplicateId,
-    HypothesisViolated,
     InvalidSite,
     LogSurfError,
     NotAChain,
     NotAdmissible,
     NotApplicable,
-    NotATree,
     NotLogTerminal,
     NotMinimal,
     NotNegativeDefinite,

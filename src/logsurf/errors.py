@@ -45,10 +45,6 @@ class NotPeelable(LogSurfError):
     pass
 
 
-class NotATree(LogSurfError):
-    pass
-
-
 class NotMinimal(LogSurfError):
     pass
 
@@ -58,10 +54,6 @@ class NotApplicable(LogSurfError):
 
 
 class NotLogTerminal(LogSurfError):
-    pass
-
-
-class HypothesisViolated(LogSurfError):
     pass
 
 

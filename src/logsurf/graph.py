@@ -11,16 +11,17 @@ contracted curve trivially.
 -Q restricted to the contracted block is block-diagonal over its connected
 components (the singular points), so each component is factored once, by
 ``linalg.factor_definite``, and the factorization is cached on its
-``DualGraph``: a contraction refactors only the component it changes, and
-every solve runs component by component from the cached fraction-free LU
-factor, one right-hand side at a time (no inverse is built).  Solves work in
-integers: the right-hand side is scaled to integers, and the answer on a
-component (its coefficients, its K-correction) is kept as integer numerators
-over one positive denominator, d times that scale, d = det(-Q|component).
-A pairing adds such integers over one denominator, and a ``Fraction`` is
-built only where a value leaves the model: the answers of ``self_int``,
-``k_pairing``, ``lk_pairing`` and ``pullback``, and the ``coefficients``
-view.  The run layers read an answer's sign off its numerator.
+``DualGraph``: a contraction refactors only the component it changes.  Every
+solve, ``_solve_int``, runs on one component from its cached fraction-free
+LU factor with one integer right-hand side (no inverse is built).  Its
+answer is integer numerators over d = det(-Q|component): a curve's pullback
+correction, the K-correction, and the coefficients, the one rational
+right-hand side (kept over d times the scale that clears it).  ``self_int``,
+``k_pairing`` and ``lk_pairing`` add such integers over one denominator
+(``_pair``); ``pullback`` sums the per-curve corrections and
+``canonical_intersect`` sums ``k_pairing``.  A ``Fraction`` is built only
+where a value leaves the model: those answers and the ``coefficients`` view.
+The run layers read an answer's sign off its numerator.
 
 The same holds one level up.  The questions a run asks of a curve l have
 local answers: l^2 and l.K depend only on l and on the contracted components
@@ -724,38 +725,42 @@ class LogSurfaceModel:
         comp_of = self._component_of
         return frozenset(comp_of[w] for w in self.graph.adjacency[vid] if w in comp_of)
 
-    def _solve(self, rhs: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        """x on the contracted block with (-Q) x = rhs, solved on the
-        components that rhs meets; x is 0 on the others.  On each, rhs is
-        scaled to integers and x divided out once."""
-        out: dict[str, Fraction] = {}
-        for block in self._blocks.values():
-            rs = [rhs.get(e, ZERO) for e in block[0]]
-            if any(rs):
-                scale = lcm(*(c.denominator for c in rs))
-                d, x = _solve_int(block, [c.numerator * (scale // c.denominator) for c in rs])
-                den = d * scale
-                out.update((e, Fraction(n, den)) for e, n in x.items())
-        return out
+    def _component_pullback(self, vid: str, comp: frozenset[str]) -> Answer:
+        """The pullback correction of the curve ``vid`` on one contracted
+        component: (-Q) x = c there, c the contact vector of ``vid`` with it."""
+        block = self._blocks[comp]
+        row = self.graph.adjacency[vid]
+        return _solve_int(block, [row.get(e, 0) for e in block[0]])
 
-    def _contact(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        """A . E for the contracted curves E that A meets."""
-        contact: dict[str, Fraction] = {}
-        for u, c in A.items():
-            for e, m in self.graph.adjacency[u].items():
-                if e in self.contracted:
-                    contact[e] = contact.get(e, ZERO) + c * m
-        return contact
+    def _pair(
+        self, vid: str, num: int, den: int, answer: Callable[[frozenset[str]], Answer]
+    ) -> Fraction:
+        """num/den plus m x_w for each contracted neighbour w of ``vid``, met
+        m times, x the per-component ``answer``: integers over one
+        denominator, then one Fraction."""
+        comp_of = self._component_of
+        for w, m in self.graph.adjacency[vid].items():
+            comp = comp_of.get(w)
+            if comp is not None:
+                d, x = answer(comp)
+                num, den = _add(num, den, m * x[w], d)
+        return Fraction(num, den)
 
     def pullback(self, A: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Mumford pullback: A plus the correction supported on the contracted
-        set that kills all intersections with contracted curves."""
+        set that kills all intersections with contracted curves, the sum of
+        the per-curve corrections."""
         for u in A:
             self.graph.vertex(u)
             if u in self.contracted:
                 raise UnknownVertex(f"{u!r} is contracted; pull back its image instead")
-        corr = self._solve(self._contact(A))
         out = {u: Fraction(c) for u, c in A.items() if c != 0}
+        corr: dict[str, Fraction] = {}
+        for u, c in out.items():
+            for comp in self._met(u):
+                d, x = self._component_pullback(u, comp)
+                for e, n in x.items():
+                    corr[e] = corr.get(e, ZERO) + c * n / d
         for e in sorted(corr):
             if corr[e] != 0:
                 out[e] = corr[e]
@@ -774,17 +779,10 @@ class LogSurfaceModel:
         met = self._met(vid)
 
         def square() -> Fraction:
-            # -w + c.x summed over the met components, c the contact vector of
-            # v with a component and x the pullback correction, (-Q) x = c
-            # there; the solve gives d x in integers
-            row = graph.adjacency[vid]
-            num, den = -v.weight, 1
-            for comp in met:
-                order, d, lu = self._blocks[comp]
-                c = [row.get(e, 0) for e in order]
-                x = solve_factored(d, lu, c)
-                num, den = _add(num, den, sum(ci * xi for ci, xi in zip(c, x)), d)
-            return Fraction(num, den)
+            # -w + c.x, c the contact vector of v and x its pullback
+            # correction, solved once on each met component
+            corrections = {comp: self._component_pullback(vid, comp) for comp in met}
+            return self._pair(vid, -v.weight, 1, corrections.__getitem__)
 
         return graph._memo(("self_int", vid, met), square)
 
@@ -803,36 +801,20 @@ class LogSurfaceModel:
 
     def canonical_intersect(self, A: Mapping[str, Fraction]) -> Fraction:
         """A . K on the contracted model (K from adjunction plus Mumford
-        correction on the contracted block)."""
-        total = ZERO
-        for u, c in A.items():
-            if u in self.contracted:
-                raise UnknownVertex(f"{u!r} is contracted")
-            total += c * self.graph.k_dot(u)
-        for e, x in self._contact(A).items():
-            total += x * self._k_correction[e]
-        return total
+        correction on the contracted block): sum of c k_pairing(u)."""
+        return sum((c * self.k_pairing(u) for u, c in A.items()), ZERO)
 
     def k_pairing(self, vid: str) -> Fraction:
-        """image(v) . K on the contracted model: canonical_intersect({vid: 1})."""
+        """image(v) . K on the contracted model: K.v plus m u_w for each
+        contracted neighbour w, u the K-correction of its component."""
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
         graph = self.graph
         graph.vertex(vid)
-
-        def pairing() -> Fraction:
-            # K.v plus m u_w for each contracted neighbour w, u the
-            # K-correction of its component, in integers over its d
-            num, den = graph.k_dot(vid), 1
-            comp_of = self._component_of
-            for w, m in graph.adjacency[vid].items():
-                comp = comp_of.get(w)
-                if comp is not None:
-                    d, u = self._component_k_correction(comp)
-                    num, den = _add(num, den, m * u[w], d)
-            return Fraction(num, den)
-
-        return graph._memo(("k_pairing", vid, self._met(vid)), pairing)
+        return graph._memo(
+            ("k_pairing", vid, self._met(vid)),
+            lambda: self._pair(vid, graph.k_dot(vid), 1, self._component_k_correction),
+        )
 
     @cached_property
     def boundary_divisor(self) -> dict[str, Fraction]:
@@ -878,24 +860,16 @@ class LogSurfaceModel:
         v = graph.vertex(vid)
 
         def pairing() -> Fraction:
-            # K.v + theta_v + D.v, with D of a contracted neighbour its
-            # coefficient: integer pairs added over one denominator
-            coeffs, comp_of = self._coeffs, self._component_of
+            # K.v + theta_v + D.v: the coefficient of v and of each neighbour
+            # outside the contracted set, then cf of each contracted neighbour
+            coeffs, contracted = self._coeffs, self.contracted
             theta = v.decoration
             q = theta.denominator
             num, den = graph.k_dot(vid) * q + theta.numerator, q
-            c = coeffs[vid]
-            if c:
-                num, den = _add(num, den, -c.numerator * v.weight, c.denominator)
-            for w, m in graph.adjacency[vid].items():
-                comp = comp_of.get(w)
-                if comp is not None:
-                    d, cf = self._component_coefficients(comp)
-                    num, den = _add(num, den, m * cf[w], d)
-                    continue
+            for w, m in ((vid, -v.weight), *graph.adjacency[vid].items()):
                 c = coeffs[w]
-                if c:
+                if c and w not in contracted:
                     num, den = _add(num, den, m * c.numerator, c.denominator)
-            return Fraction(num, den)
+            return self._pair(vid, num, den, self._component_coefficients)
 
         return graph._memo(("lk_pairing", vid, self._met(vid), self._r_key), pairing)

@@ -6,9 +6,10 @@ fraction-free LU pass over M, without row swaps, whose pivots are the leading
 minors of M (Bareiss 1968), so it tests positive definiteness on the way.
 ``solve_factored`` then solves one integer right-hand side b at a time from
 that factor and returns the integer vector d * x, d = det(M), by Cramer's
-rule; no inverse or adjugate is ever built, and no ``Fraction`` either.  A
-caller with a rational right-hand side scales it to integers first and
-divides once by d * scale where a value leaves it.  ``solve_int``,
+rule; no inverse or adjugate is ever built, and no ``Fraction`` either.  The
+model layer calls it in one place, ``graph._solve_int``; its one rational
+right-hand side (a component's coefficients) is scaled to integers first,
+and that answer is kept over d * scale.  ``solve_int``,
 ``leading_minors`` and ``bareiss_det`` stay as independent oracles;
 ``solve_int`` clears denominators, eliminates fraction-free and
 back-substitutes over the rationals, so no floating point ever enters.

@@ -21,7 +21,6 @@ from .graph import (
     _chain_order,
     _branching_numbers,
     _maximal_twigs,
-    branching_number,
     contracts_to_smooth_point,
     is_negative_definite,
 )
@@ -301,14 +300,15 @@ def _classify_peeled(
     comps = tuple(graph.connected_components(exc))
     if r is None or r > HALF:
         return (), (), (), comps
-    dset = set(model.boundary_flagged)
+    beta_d = _branching_numbers(graph, model.boundary_flagged)
     gamma, lam, delta, extra = [], [], [], []
     for comp in comps:
         ws = sorted(graph.vertex(v).weight for v in comp)
         all_two = all(w == 2 for w in ws)
         is_chain = _chain_order(graph, comp) is not None
-        # comp lies in D, so it is a rod or fork of D only as a whole component
-        beta = branching_number(graph, comp, dset)
+        # comp lies in D, so it is a rod or fork of D only as a whole
+        # component; beta = comp.(D - comp)
+        beta = sum(beta_d[v] for v in comp) - sum(_branching_numbers(graph, comp).values())
         if beta == 0 and all_two and (is_chain or _as_fork(graph, comp) is not None):
             gamma.append(comp)
         elif beta == 0 and is_chain and ws.count(2) == len(ws) - 1 and ws[-1] == 3:
@@ -421,7 +421,7 @@ def _twig_inequality(
         ind_t += cd.transposed_inductance
     k = len(comps)
     e = set().union(*comps) if comps else set()
-    lhs = r * branching_number(graph, [vid], dset - e)
+    lhs = r * _branching_numbers(graph, dset - e)[vid]
     rhs = 2 - k + delta - (1 - r) * (1 - ind_t)
     return lhs, rhs
 
@@ -657,13 +657,13 @@ def _ale_case_half(
         comp = next((c for c in groups if u in c), None)
         if comp is None:
             return False
-        return branching_number(graph, [u], comp) <= 1
+        return _branching_numbers(graph, comp)[u] <= 1
 
     def lam_middle_223(u: str) -> bool:
         comp = next((c for c in peeling.lambda_ if u in c), None)
         if comp is None or len(comp) != 3:
             return False
-        return graph.vertex(u).weight == 2 and branching_number(graph, [u], comp) == 2
+        return graph.vertex(u).weight == 2 and _branching_numbers(graph, comp)[u] == 2
 
     if verdict.kind == SECOND:
         if a_dot_d == 2 and a_dot_e == 0:
@@ -672,8 +672,10 @@ def _ale_case_half(
             touched = [u for u in e if graph.mult(vid, u) > 0]
             if len(touched) == 1 and touched[0] in gamma and rod_end(touched[0], peeling.gamma):
                 comp = next(c for c in peeling.gamma if touched[0] in c)
-                # a rod: a whole component of D that is a chain
-                whole = branching_number(graph, comp, dset) == 0
+                # a rod: a whole component of D that is a chain, so no curve
+                # of it meets D outside it
+                beta_d = _branching_numbers(graph, dset)
+                whole = sum(beta_d[v] for v in comp) == sum(_branching_numbers(graph, comp).values())
                 if whole and _chain_order(graph, comp) is not None:
                     return "(5)"
         return None

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from logsurf import (
-    DualGraph, GermGraph, HypothesisViolated, LogSurfaceModel, MMPRun, NotApplicable, NotATree,
+    DualGraph, GermGraph, LogSurfaceModel, LogSurfError, MMPRun, NotApplicable,
     branching_number, discriminant, is_negative_definite,
 )
 from logsurf.graph import ONE, ZERO
@@ -16,6 +16,14 @@ from logsurf.linalg import bareiss_det
 from logsurf.mmp import (
     _KINDS, SECOND, AlmostMinDecomposition, PeelingData, _classify_peeled, curve_verdict, relative_mmp,
 )
+
+
+class NotATree(LogSurfError):
+    """A tree identity asked of a graph with a cycle, or of two components."""
+
+
+class HypothesisViolated(LogSurfError):
+    """An identity asked outside its hypotheses."""
 
 
 def split_discriminant(graph: DualGraph, D1: Iterable[str], D2: Iterable[str], T1: str, T2: str) -> int:

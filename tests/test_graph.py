@@ -1,9 +1,12 @@
+import ast
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import logsurf
 from logsurf import (
     CoeffOutOfRange,
     DanglingEdge,
@@ -197,6 +200,42 @@ def test_projection_formula():
     A = {"v1": F(1)}
     B = {"v2": F(1)}
     assert mod.intersect(A, B) == g.pairing(mod.pullback(A), B)
+
+
+def test_the_model_layer_solves_in_one_place():
+    """Outside ``linalg``, ``solve_factored`` is named only by its import in
+    ``graph`` and inside ``graph._solve_int``: every solve of the model layer
+    goes through that one function."""
+    refs = []
+
+    class Refs(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(getattr(node, "name", "<lambda>"))
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_Lambda = visit_FunctionDef
+
+        def visit_alias(self, node):
+            if node.name == "solve_factored":
+                refs.append(f"{self.scope[0]} (import)")
+
+        def visit_Name(self, node):
+            if node.id == "solve_factored":
+                refs.append(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "solve_factored":
+                refs.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(Path(logsurf.__file__).parent.glob("*.py")):
+        if path.stem != "linalg":
+            Refs(path.stem).visit(ast.parse(path.read_text()))
+    assert refs == ["graph (import)", "graph._solve_int"]
 
 
 # -- branching numbers and negative definiteness -----------------------------

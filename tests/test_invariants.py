@@ -12,7 +12,6 @@ from logsurf import (
     DualGraph,
     Edge,
     GermGraph,
-    HypothesisViolated,
     LogSurfaceModel,
     NotAChain,
     NotPeelable,
@@ -32,7 +31,7 @@ from logsurf.graph import find_shapes
 from logsurf.linalg import solve_int
 
 from conftest import chain_graph, fork_graph, model, random_negative_definite_tree
-from oracles import cofactor_matches_path, split_discriminant, tree_coefficient_identity
+from oracles import HypothesisViolated, cofactor_matches_path, split_discriminant, tree_coefficient_identity
 
 
 # -- discriminants ------------------------------------------------------------

@@ -174,11 +174,19 @@ def test_model_answers_equal_a_whole_block_solve(case):
         lk = (k_dot(v) + g.by_id[v].decoration + sum(c * _mult(g, v, b) for b, c in bd.items())
               + sum(c * _mult(g, v, e) for e, c in cf.items()))
         assert model.lk_pairing(v) == lk
-    # a divisor over several curves at once
+    # divisors over several curves at once: A.K is pullback(A).K, since the
+    # pullback meets every contracted curve trivially; B also has contracted
+    # curves, which pullback(A) does not see
     A = {v: F(i + 1, 2) for i, v in enumerate(rest)}
+    B = {v: F(1 - i, 3) for i, v in enumerate(g.ids)}
     contact = [sum((c * _mult(g, u, e) for u, c in A.items()), F(0)) for e in order]
     x = solve(contact)
-    assert model.pullback(A) == {**A, **{e: c for e, c in x.items() if c}}
+    pb = {**A, **{e: c for e, c in x.items() if c}}
+    assert model.pullback(A) == pb
+    assert model.canonical_intersect(A) == sum((c * k_dot(u) for u, c in pb.items()), F(0))
+    assert model.intersect(A, B) == sum(
+        (c * b * _mult(g, u, w) for u, c in pb.items() for w, b in B.items()), F(0)
+    )
 
 
 # ---------------------------------------------------------------------------
