@@ -33,9 +33,12 @@ All models of one graph share one table of answers on the ``DualGraph``
 (``_memo``), keyed by that local state, so a question is computed once
 however many models of the graph ask it.  The table lives and dies with its
 graph; nothing is shared between graphs.  The component partition of a
-contracted set is found once per graph too
-(``DualGraph.blocks``): the definiteness check finds it, and the model built
-on that set reads its solves and its keys off it.
+contracted set, with each component's factor, is kept once per graph too,
+and the model on that set reads its solves and its keys off it.  A
+contraction derives it from its parent (``LogSurfaceModel.contract``): only
+the components the new curves meet merge and are factored again.  A model
+built from outside finds it through the definiteness check
+(``DualGraph.blocks``).
 """
 
 from __future__ import annotations
@@ -266,7 +269,9 @@ class DualGraph:
     def blocks(self, S: frozenset[str]) -> Optional[dict[frozenset[str], Factor]]:
         """The factorization of each connected component of S (its singular
         points, when S is contracted); None when -Q|S is not positive
-        definite.  Found once per set; the dict is shared, not to be changed."""
+        definite.  Found once per set, or derived by the contraction that
+        reached the set first (``LogSurfaceModel.contract``); the dict is
+        shared, not to be changed."""
 
         def find() -> Optional[dict[frozenset[str], Factor]]:
             out = {}
@@ -573,11 +578,13 @@ def blow_down(graph: DualGraph, vid: str) -> DualGraph:
 
 
 def contracts_to_smooth_point(graph: DualGraph, S: Iterable[str]) -> bool:
-    """Whether the support S blows down entirely through (-1)-contractions."""
+    """Whether the support S blows down entirely through (-1)-contractions.
+    A blow-down changes only the curves that meet the blown-down one, so the
+    curves of S alone decide: the blow-downs run on the subgraph S spans."""
     sset = set(S)
     if not sset:
         return True
-    g = graph
+    g = graph.without(v for v in graph.ids if v not in sset)
     while sset:
         cand = [v for v in sorted(sset) if g.vertex(v).weight == 1 and g.vertex(v).genus == 0]
         if not cand:
@@ -698,23 +705,40 @@ class LogSurfaceModel:
         return tuple(v for v in self.graph.ids if v not in self.contracted)
 
     def contract(self, *vids: str) -> "LogSurfaceModel":
+        """This model with ``vids`` contracted as well, derived from it.  The
+        components that the new curves meet merge with them and are factored
+        (``DualGraph.factor``); every other component keeps its factor.  The
+        partition is kept under the constructor's key, so a set reached
+        before, in any order, is a hit.  Only the new ids are checked: r and
+        the old ids were checked on this model."""
+        graph = self.graph
         for vid in vids:
-            self.graph.vertex(vid)
+            graph.vertex(vid)
             if vid in self.contracted:
                 raise UnknownVertex(f"{vid!r} is already contracted")
-        return LogSurfaceModel(self.graph, self.contracted | set(vids), self.uniform_r)
+        contracted = self.contracted.union(vids)
+
+        def grow() -> Optional[dict[frozenset[str], Factor]]:
+            comp_of = self._component_of
+            met = {comp_of[w] for vid in vids for w in graph.adjacency[vid] if w in comp_of}
+            out = {comp: f for comp, f in self._blocks.items() if comp not in met}
+            for comp in graph.connected_components(set(vids).union(*met)):
+                f = out[comp] = graph.factor(comp)
+                if f is None:
+                    return None
+            return out
+
+        blocks = graph._memo(("blocks", contracted), grow)
+        if blocks is None:
+            raise NotNegativeDefinite(f"contracted set {sorted(contracted)} is not negative definite")
+        child = object.__new__(LogSurfaceModel)
+        child.__dict__.update(
+            graph=graph, contracted=contracted, uniform_r=self.uniform_r,
+            _r_key=self._r_key, _blocks=blocks,
+        )
+        return child
 
     # -- exact intersection theory on the contracted model ----------------
-
-    def _view(self, answer: Callable[[frozenset[str]], Answer]) -> dict[str, Fraction]:
-        """The per-component integer ``answer`` as Fractions over the
-        contracted set, in ``contracted_order``."""
-        out: dict[str, Fraction] = {}
-        for comp in self._blocks:
-            den, nums = answer(comp)
-            for e, n in nums.items():
-                out[e] = Fraction(n, den)
-        return {e: out[e] for e in self.contracted_order}
 
     @cached_property
     def _component_of(self) -> dict[str, frozenset[str]]:
@@ -795,10 +819,6 @@ class LogSurfaceModel:
 
         return self.graph._memo(("k_correction", comp), solve)
 
-    @cached_property
-    def _k_correction(self) -> dict[str, Fraction]:
-        return self._view(self._component_k_correction)
-
     def canonical_intersect(self, A: Mapping[str, Fraction]) -> Fraction:
         """A . K on the contracted model (K from adjunction plus Mumford
         correction on the contracted block): sum of c k_pairing(u)."""
@@ -848,8 +868,14 @@ class LogSurfaceModel:
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:
         """cf(E; current model) for every contracted vertex E: the unique
-        solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j."""
-        return self._view(self._component_coefficients)
+        solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j, in
+        ``contracted_order``."""
+        out: dict[str, Fraction] = {}
+        for comp in self._blocks:
+            den, nums = self._component_coefficients(comp)
+            for e, n in nums.items():
+                out[e] = Fraction(n, den)
+        return {e: out[e] for e in self.contracted_order}
 
     def lk_pairing(self, vid: str) -> Fraction:
         """image(v) . (K + D) on the contracted model.  Decorations count as

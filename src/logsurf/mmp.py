@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
@@ -107,25 +107,35 @@ def _step(
 
 
 def _greedy(
-    start: LogSurfaceModel,
-    candidates: Callable[[LogSurfaceModel], Iterable[str]],
-    kinds: Sequence[str],
-    use_boundary: bool,
+    start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str], use_boundary: bool
 ) -> MMPRun:
-    """The run that contracts, on the running model, the first of its
-    candidates that ``_step`` admits, until none is admitted."""
+    """The run that contracts, on the running model, the first curve of
+    ``order`` not yet contracted that ``_step`` admits, until none is
+    admitted.  A curve's answer depends only on the curve and on the
+    contracted components it meets (and r), so it is kept until a
+    contraction grows a component that the curve meets."""
     steps: list[Step] = []
     models = [start]
+    answers: dict[str, Optional[Step]] = {}
+    cur = start
     while True:
-        cur = models[-1]
-        step = next(
-            (s for s in (_step(cur, v, kinds, use_boundary) for v in candidates(cur)) if s),
-            None,
-        )
+        step = None
+        for v in order:
+            if v in cur.contracted:
+                continue
+            if v not in answers:
+                answers[v] = _step(cur, v, kinds, use_boundary)
+            step = answers[v]
+            if step is not None:
+                break
         if step is None:
             return MMPRun(start, tuple(steps), tuple(models))
         steps.append(step)
-        models.append(cur.contract(step.vertex))
+        cur = cur.contract(step.vertex)
+        models.append(cur)
+        grown = cur._component_of[step.vertex]
+        adjacency = cur.graph.adjacency
+        answers = {v: s for v, s in answers.items() if grown.isdisjoint(adjacency[v])}
 
 
 def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-id") -> MMPRun:
@@ -134,11 +144,9 @@ def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-i
     if strategy not in ("lowest-id", "boundary-first"):
         raise NotApplicable(f"unknown strategy {strategy!r}")
 
-    def candidates(cur: LogSurfaceModel) -> list[str]:
-        first = set(cur.boundary_flagged) if strategy == "boundary-first" else set()
-        return sorted(cur.noncontracted(), key=lambda v: (v not in first, v))
-
-    return _greedy(model, candidates, _KINDS[kind], True)
+    first = set(model.boundary_flagged) if strategy == "boundary-first" else set()
+    order = sorted(model.noncontracted(), key=lambda v: (v not in first, v))
+    return _greedy(model, order, _KINDS[kind], True)
 
 
 def relative_mmp(
@@ -160,9 +168,7 @@ def relative_mmp(
         raise NotNegativeDefinite("target set is not contractible")
     # every curve of the target has negative self-intersection on every
     # model of the run, since the whole target is contractible
-    return _greedy(
-        model, lambda cur: sorted(target - cur.contracted), _KINDS[kind], use_boundary
-    )
+    return _greedy(model, sorted(target), _KINDS[kind], use_boundary)
 
 
 def relative_k_mmp(model: LogSurfaceModel, over: Iterable[str]) -> MMPRun:
@@ -267,18 +273,15 @@ class PeelingData:
         return self.run.final
 
 
-def _peel_candidates(
-    model: LogSurfaceModel, pure: bool
-) -> Callable[[LogSurfaceModel], list[str]]:
-    """Candidates of a peeling of ``model``: its boundary components still
-    uncontracted on the running model, with K of ``model`` nonnegative on
-    each when purity is requested."""
-    flagged = sorted(
+def _peel_candidates(model: LogSurfaceModel, pure: bool) -> list[str]:
+    """Candidates of a peeling of ``model``, in order: its boundary
+    components, with K of ``model`` nonnegative on each when purity is
+    requested."""
+    return sorted(
         v
         for v in model.boundary_flagged
         if not pure or model.k_pairing(v).numerator >= 0
     )
-    return lambda cur: [v for v in flagged if v not in cur.contracted]
 
 
 def peel(model: LogSurfaceModel, kind: str = FIRST, pure: bool = True) -> PeelingData:
@@ -787,9 +790,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
             for v in peeled.noncontracted()
             if v not in flagged and cur.k_pairing(v).numerator == 0
         )
-        sweep = _greedy(
-            peeled, lambda m: [v for v in k_trivial if v not in m.contracted], (SECOND,), True
-        )
+        sweep = _greedy(peeled, k_trivial, (SECOND,), True)
         alpha |= sweep.exceptional
 
     # one legal elementary-contraction order for the whole run psi

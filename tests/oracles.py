@@ -9,10 +9,10 @@ from typing import Iterable
 
 from logsurf import (
     DualGraph, GermGraph, LogSurfaceModel, LogSurfError, MMPRun, NotApplicable,
-    branching_number, discriminant, is_negative_definite,
+    blow_down, branching_number, discriminant, is_negative_definite,
 )
 from logsurf.graph import ONE, ZERO
-from logsurf.linalg import bareiss_det
+from logsurf.linalg import bareiss_det, solve_int
 from logsurf.mmp import (
     _KINDS, SECOND, AlmostMinDecomposition, PeelingData, _classify_peeled, curve_verdict, relative_mmp,
 )
@@ -98,6 +98,29 @@ def cofactor_matches_path(graph: DualGraph, i: str, j: str) -> bool:
     minor = [[m[a][b] for b in range(len(ids)) if b != jj] for a in range(len(ids)) if a != ii]
     cof = (-1) ** (ii + jj) * bareiss_det(minor)
     return cof == discriminant(graph, set(ids) - set(paths[(i, j)]))
+
+
+def k_correction(model: LogSurfaceModel) -> dict[str, Fraction]:
+    """The K-correction u on the contracted set, in ``contracted_order``:
+    K + sum u_i E_i meets every contracted curve trivially, that is
+    sum_i u_i (-E_i.E_j) = K.E_j, in one solve over the whole set."""
+    order = model.contracted_order
+    graph = model.graph
+    return dict(zip(order, solve_int(graph.neg_q(order), [Fraction(graph.k_dot(e)) for e in order])))
+
+
+def contracts_to_smooth_point_whole(graph: DualGraph, S: Iterable[str]) -> bool:
+    """Whether S blows down entirely through (-1)-contractions, each
+    blow-down made on the whole graph."""
+    sset = set(S)
+    g = graph
+    while sset:
+        cand = [v for v in sorted(sset) if g.vertex(v).weight == 1 and g.vertex(v).genus == 0]
+        if not cand:
+            return False
+        g = blow_down(g, cand[0])
+        sset.remove(cand[0])
+    return True
 
 
 def verify_run(run: MMPRun, kind: str = SECOND) -> bool:

@@ -1,6 +1,8 @@
 import ast
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from logsurf import (
     DualGraph,
     DuplicateId,
     Edge,
+    LogSurfaceModel,
     NotNegativeDefinite,
     SelfLoop,
     UnknownVertex,
@@ -20,13 +23,15 @@ from logsurf import (
     Vertex,
     blow_up,
     branching_number,
+    contracts_to_smooth_point,
     discriminant,
     find_shapes,
     is_negative_definite,
 )
 from logsurf.linalg import bareiss_det
 
-from conftest import chain_graph, fork_graph, model
+from conftest import chain_graph, fork_graph, model, random_tree_graph
+from oracles import contracts_to_smooth_point_whole
 
 
 # -- validation -------------------------------------------------------------
@@ -133,6 +138,68 @@ def test_contracted_must_be_negative_definite():
     g = chain_graph(0)
     with pytest.raises(NotNegativeDefinite):
         model(g, contracted=("v0",))
+
+
+def test_contract_equals_the_constructor():
+    # the reference models are built from outside on a copy of the graph,
+    # which has a table of answers of its own
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(80):
+        tree = random_tree_graph(rng, rng.randint(3, 12), wmin=1, wmax=4, theta_max=1)
+        g = DualGraph(tuple(replace(v, boundary=F(int(rng.random() < 0.5))) for v in tree.vertices), tree.edges)
+        copy = DualGraph(g.vertices, g.edges)
+        r = rng.choice((None, F(1, 2), F(2, 3), F(1)))
+        m = LogSurfaceModel(g, frozenset(), r)
+        for _ in range(8):
+            rest = m.noncontracted()
+            if not rest:
+                break
+            vs = rng.sample(rest, min(len(rest), rng.choice((1, 1, 2, 3))))
+            try:
+                ref = LogSurfaceModel(copy, m.contracted | set(vs), r)
+            except NotNegativeDefinite as exc:
+                with pytest.raises(NotNegativeDefinite) as err:
+                    m.contract(*vs)
+                assert str(err.value) == str(exc)
+                seen["refused"] += 1
+                continue
+            child = m.contract(*vs)
+            seen["merged"] += any(w in m.contracted for v in vs for w in g.adjacency[v])
+            assert child == ref
+            assert child._blocks == ref._blocks
+            assert list(child.coefficients.items()) == list(ref.coefficients.items())
+            for v in child.noncontracted():
+                for ask in (LogSurfaceModel.self_int, LogSurfaceModel.k_pairing, LogSurfaceModel.lk_pairing):
+                    assert ask(child, v) == ask(ref, v)
+            m = child
+        if m.contracted:
+            v = min(m.contracted)
+            with pytest.raises(UnknownVertex, match=f"'{v}' is already contracted"):
+                m.contract(v)
+        with pytest.raises(UnknownVertex, match="no vertex 'nope'"):
+            m.contract("nope")
+    assert min(seen["refused"], seen["merged"]) >= 50, seen
+
+
+def test_contracts_to_smooth_point_reads_only_the_subgraph():
+    # blow-ups of random trees, asked of their exceptional curves or of any set
+    rng = random.Random(19)
+    answers = Counter()
+    for _ in range(200):
+        g = random_tree_graph(rng, rng.randint(1, 5), wmin=1, wmax=4)
+        new = []
+        for _ in range(rng.randint(0, 5)):
+            e = rng.choice(g.edges) if g.edges and rng.random() < 0.5 else None
+            g = blow_up(g, ("edge", e.a, e.b) if e else ("free", rng.choice(g.ids)))
+            new.append(g.ids[-1])
+        S = new if rng.random() < 0.4 else [v for v in g.ids if rng.random() < 0.5]
+        expected = contracts_to_smooth_point_whole(g, S)
+        assert contracts_to_smooth_point(g, S) == expected
+        answers[expected] += 1
+        with pytest.raises(UnknownVertex, match="no vertex 'nope'"):
+            contracts_to_smooth_point(g, [*S, "nope"])
+    assert min(answers[True], answers[False]) >= 30, answers
 
 
 # -- intersections ----------------------------------------------------------

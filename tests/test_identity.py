@@ -26,6 +26,15 @@ peeled set and on one more subset of the boundary, on 300 seeded log smooth
 trees of 6-14 curves with r = 1/3, 1/2, 2/3 and 1 in turn.  The draws give
 twigs, rods, forks and non-peelable sets, and verdicts with and without a
 twig inequality, at least ten times each.
+
+A fifth digest pins the run layer: ``run_mmp`` for both kinds and both
+strategies, ``relative_k_mmp`` over a target set, ``almost_minimalize`` for
+both kinds (its run, its almost minimalization, the ladder's models, peeled
+sets and eps verdicts, and ``min_exceptional``) and ``enumerate_runs`` over
+the target and over the whole pool (refused by the guard above eight
+curves), on 300 seeded log smooth trees of 6-16 curves with r = 1/3, 1/2,
+2/3 and 1 in turn, about a third of them with a negative definite set
+already contracted.  Steps are hashed with their kind and both numbers.
 """
 
 import hashlib
@@ -35,8 +44,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from logsurf import (
-    DualGraph, Edge, GermGraph, LogSurfaceModel, LogSurfError, Vertex, bark_D, classify_germ,
-    coefficient_divisor_uniform, peel, redundant,
+    DualGraph, Edge, GermGraph, LogSurfaceModel, LogSurfError, Vertex, almost_minimalize, bark_D,
+    classify_germ, coefficient_divisor_uniform, enumerate_runs, is_negative_definite, peel, redundant,
+    relative_k_mmp, run_mmp,
 )
 from logsurf.cli import COMMANDS, main
 from logsurf.invariants import classify_peelable
@@ -51,6 +61,7 @@ DIGESTS = {
     "text": "684b472d31d2598001d7bc5e7fc38f1150ecdff9dca69e2f791002fb583ab957",
     "shapes": "aa084be15cf7a188dca8133d922abfbc8befa6e38f43442fb14c76e522e82250",
     "redundant": "0d34a493552da37e7a5a02cb93b09de77421067eb6a830acac445c48c9b503bc",
+    "runs": "b000a5192bd178e67aa5fd9c07679f8b8a2298ade5bc821d32e09305a65b77eb",
 }
 
 
@@ -288,3 +299,65 @@ def test_redundancy_and_uniform_coefficient_answers_are_identical():
     kinds = ("inequality", "no inequality", "twig", "rod", "fork", "NotPeelable")
     assert min(seen[k] for k in kinds) >= 10, seen
     assert h.hexdigest() == DIGESTS["redundant"]
+
+
+# -- run answers -------------------------------------------------------------------
+
+
+def _run_draw(rng, r):
+    """A log smooth tree of 6-16 curves of weights 1-4, each curve on the
+    boundary with probability 0.5, with nothing contracted or, one time in
+    three, a negative definite set of its curves of weight 2-4; and a target
+    set of 1-6 more curves."""
+    n = rng.randint(6, 16)
+    vs = tuple(Vertex(f"u{i:02d}", rng.choice((1, 1, 2, 2, 3, 4)), boundary=F(int(rng.random() < 0.5)))
+               for i in range(n))
+    es = tuple(Edge(f"u{rng.randrange(i):02d}", f"u{i:02d}") for i in range(1, n))
+    g = DualGraph(vs, es)
+    start = frozenset()
+    if rng.random() < 0.35:
+        start = frozenset(v.id for v in vs if v.weight >= 2 and rng.random() < 0.4)
+        if not is_negative_definite(g, start):
+            start = frozenset()
+    rest = [v for v in g.ids if v not in start]
+    target = sorted(rng.sample(rest, min(len(rest), rng.randint(1, 6))))
+    return LogSurfaceModel(g, start, r), target
+
+
+def _steps(run):
+    return [(s.vertex, s.kind, s.pairing, s.self_int) for s in run.steps]
+
+
+def _decomposition(d):
+    ladder = [(sorted(rung.model.contracted), sorted(rung.peeling_exc), rung.verdict) for rung in d.ladder]
+    return _steps(d.run), _steps(d.am), ladder, sorted(d.min_exceptional)
+
+
+def test_run_answers_are_identical():
+    rng = random.Random(18)
+    h = hashlib.sha256()
+    seen = Counter()
+    for i in range(300):
+        r = (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4]
+        model, target = _run_draw(rng, r)
+        seen["contracted start"] += bool(model.contracted)
+        answers = []
+        for kind in ("first", "second"):
+            for strategy in ("lowest-id", "boundary-first"):
+                answers.append(_steps(run_mmp(model, kind, strategy)))
+                seen["run steps"] += len(answers[-1])
+            d = _answer(lambda: almost_minimalize(model, kind), _decomposition)
+            seen["ladder of two or more"] += isinstance(d, tuple) and len(d[2]) >= 2
+            answers.append(d)
+            for over in (target, None):
+                runs = _answer(lambda: enumerate_runs(model, kind, over), lambda rs: [_steps(x) for x in rs])
+                seen["runs" if isinstance(runs, list) else runs[0]] += 1
+                seen["two or more runs"] += isinstance(runs, list) and len(runs) >= 2
+                answers.append(runs)
+        sigma = _answer(lambda: relative_k_mmp(model, target), _steps)
+        seen["relative" if isinstance(sigma, list) else sigma[0]] += 1
+        answers.append(sigma)
+        h.update(repr(answers).encode() + b"\0")
+    assert min(seen[k] for k in ("contracted start", "ladder of two or more", "two or more runs",
+                                 "NotNegativeDefinite", "TooLarge", "relative")) >= 10, seen
+    assert h.hexdigest() == DIGESTS["runs"]

@@ -29,7 +29,7 @@ from logsurf.graph import _branching_numbers, contracts_to_smooth_point
 from logsurf.mmp import Step, _chain_shape, _step, curve_verdict, log_exceptional
 
 from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
-from oracles import ale_characterization, is_log_smooth_output, peeling_from, verify_run
+from oracles import ale_characterization, is_log_smooth_output, k_correction, peeling_from, verify_run
 
 
 def with_r(m, r):
@@ -363,7 +363,7 @@ def test_relative_k_mmp_composition_of_nef():
     final = run.final
     rest = {"d1", "d2"}
     over = LogSurfaceModel(final.graph, final.contracted | rest, final.uniform_r)
-    corr = over._k_correction
+    corr = k_correction(over)
     assert all(corr[v] >= 0 for v in rest)
 
 
@@ -551,7 +551,7 @@ def test_amm_decomposition_identity():
             over = LogSurfaceModel(
                 fin.graph, fin.contracted | d.min_exceptional, fin.uniform_r
             )
-            assert all(over._k_correction[v] >= 0 for v in d.min_exceptional)
+            assert all(k_correction(over)[v] >= 0 for v in d.min_exceptional)
 
 
 def test_amm_log_smooth_output():
@@ -669,11 +669,11 @@ def test_composition_of_nef_total_correction_effective():
     fx = load_fixture("composition_of_nef").model  # [3,1,6]
     g = fx.graph
     full = LogSurfaceModel(g, frozenset(g.ids))
-    corr = full._k_correction
+    corr = k_correction(full)
     assert corr == {"d1": F(1, 3), "a": F(0), "d2": F(2, 3)}
     assert all(c >= 0 for c in corr.values())
     ends = LogSurfaceModel(g, frozenset({"d1", "d2"}))
-    assert ends._k_correction == {"d1": F(1, 3), "d2": F(2, 3)}
+    assert k_correction(ends) == {"d1": F(1, 3), "d2": F(2, 3)}
     # the middle curve is K-nonnegative over the ends but the composite is not
     # K-nef: relative minimality does not compose
     assert ends.canonical_intersect({"a": F(1)}) == 0
