@@ -242,9 +242,9 @@ class HalfClass:
     coefficients: dict[str, Fraction] = field(compare=False)
 
 
-def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, dict[str, Fraction]]]:
+def _germ_shape_half(germ: GermGraph) -> Optional[tuple[str, str, dict[str, Fraction]]]:
     """Match the germ against the cf <= 1/2 case list; return
-    (tag, formula, closed-form coefficients) or None."""
+    (tag, formula, closed-form coefficients at r = 1/2) or None."""
     graph = germ.graph
     theta = germ.contacts
     ids = graph.ids
@@ -312,25 +312,24 @@ def _germ_shape_half(germ: GermGraph, r: Fraction) -> Optional[tuple[str, str, d
         if cv != order[-1]:
             return None
         if all(w == 2 for w in ws):
-            return "(1b)", "(1c)", {v: Fraction(i + 1, n + 1) * r for i, v in enumerate(order)}
+            return "(1b)", "(1c)", {v: Fraction(i + 1, n + 1) * HALF for i, v in enumerate(order)}
         if ws[0] == 3 and all(w == 2 for w in ws[1:]):
-            # closed form only at r = 1/2; below that only the bound cf >= rE holds
-            vals = {v: HALF for v in order} if r == HALF else {}
-            return "(2b)", "(2d)", vals
+            # a closed form only at r = 1/2; below that only the bound cf >= rE holds
+            return "(2b)", "(2d)", {v: HALF for v in order}
         return None
     if total == 2 and all(w == 2 for w in ws) and _segment_contacts(order, theta):
-        return "(2b)", "(2c)", {v: r for v in order}
+        return "(2b)", "(2c)", {v: HALF for v in order}
     return None
 
 
-def classify_half(germ: GermGraph, strict: bool = True, r: Fraction = HALF) -> HalfClass:
+def classify_half(germ: GermGraph, strict: bool = True) -> HalfClass:
     """Taxonomy of germs with coefficient function bounded by one half.
 
     ``strict`` selects the cf < 1/2 list (cases (1a)/(1b)); otherwise the
     cf = 1/2 list (cases (2a)/(2b)).  The returned coefficients are the
-    closed forms evaluated at the germ's boundary coefficient ``r``.
+    closed forms evaluated at the boundary coefficient r = 1/2.
     """
-    matched = _germ_shape_half(germ, Fraction(r))
+    matched = _germ_shape_half(germ)
     if matched is None:
         raise NotApplicable("germ is not on the coefficient <= 1/2 case list")
     tag, formula, values = matched

@@ -16,7 +16,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
-from .errors import ParseError, ValidationError, LogSurfError
+from .errors import ParseError
 from .graph import ZERO, DualGraph, Edge, LogSurfaceModel, Vertex
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
@@ -111,13 +111,8 @@ def model_from_dict(doc: dict) -> LogSurfaceModel:
         _typed(c, str, "contracted[{}]", i)
     uniform = doc.get("uniform_r")
     r = parse_rational(uniform, "uniform_r") if uniform is not None else None
-    try:
-        graph = DualGraph(tuple(vertices), tuple(edges))
-        return LogSurfaceModel(graph, frozenset(contracted), r)
-    except LogSurfError:
-        raise
-    except Exception as exc:  # malformed in a way the graph layer reports
-        raise ValidationError(str(exc)) from exc
+    graph = DualGraph(tuple(vertices), tuple(edges))
+    return LogSurfaceModel(graph, frozenset(contracted), r)
 
 
 def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:

@@ -34,11 +34,10 @@ All models of one graph share one table of answers on the ``DualGraph``
 however many models of the graph ask it.  The table lives and dies with its
 graph; nothing is shared between graphs.  The component partition of a
 contracted set, with each component's factor, is kept once per graph too,
-and the model on that set reads its solves and its keys off it.  A
-contraction derives it from its parent (``LogSurfaceModel.contract``): only
-the components the new curves meet merge and are factored again.  A model
-built from outside finds it through the definiteness check
-(``DualGraph.blocks``).
+and the model on that set reads its solves and its keys off it.  One
+builder makes it, ``DualGraph._partition``: ``DualGraph.blocks`` has nothing
+to keep, ``LogSurfaceModel.contract`` keeps the parent's components that the
+new curves miss and factors only the rest.
 """
 
 from __future__ import annotations
@@ -71,6 +70,8 @@ Factor = tuple[tuple[str, ...], int, list[list[int]]]
 # an answer on one contracted component: a positive integer denominator, d
 # times the right-hand side's scale, and the integer numerator on each curve
 Answer = tuple[int, dict[str, int]]
+# the connected components of a contracted set, each with its Factor
+Blocks = dict[frozenset[str], Factor]
 _T = TypeVar("_T")
 _MISSING = object()
 
@@ -266,22 +267,27 @@ class DualGraph:
 
         return self._memo(("factor", comp), find)
 
-    def blocks(self, S: frozenset[str]) -> Optional[dict[frozenset[str], Factor]]:
+    def _partition(self, S: frozenset[str], old: Blocks, new: Iterable[str]) -> Optional[Blocks]:
+        """The components of S with their factors, from ``old``, those of S
+        less the curves ``new``: keep the old ones no new curve meets, factor
+        the rest (None if a part is not definite).  The one caller of ``factor``."""
+        out = {}
+        if old:
+            near = {w for v in new for w in self.adjacency[v]}
+            out = {comp: f for comp, f in old.items() if comp.isdisjoint(near)}
+        for comp in self.connected_components(S.difference(*out)):
+            f = out[comp] = self.factor(comp)
+            if f is None:
+                return None
+        return out
+
+    def blocks(self, S: frozenset[str]) -> Optional[Blocks]:
         """The factorization of each connected component of S (its singular
         points, when S is contracted); None when -Q|S is not positive
-        definite.  Found once per set, or derived by the contraction that
-        reached the set first (``LogSurfaceModel.contract``); the dict is
-        shared, not to be changed."""
-
-        def find() -> Optional[dict[frozenset[str], Factor]]:
-            out = {}
-            for comp in self.connected_components(S):
-                f = out[comp] = self.factor(comp)
-                if f is None:
-                    return None
-            return out
-
-        return self._memo(("blocks", S), find)
+        definite.  Built once per set by ``_partition``, from nothing unless
+        a contraction reached the set first; the dict is shared, not to be
+        changed."""
+        return self._memo(("blocks", S), lambda: self._partition(S, {}, ()))
 
     def connected_components(self, within: Iterable[str]) -> list[frozenset[str]]:
         pool = set(within)
@@ -705,30 +711,18 @@ class LogSurfaceModel:
         return tuple(v for v in self.graph.ids if v not in self.contracted)
 
     def contract(self, *vids: str) -> "LogSurfaceModel":
-        """This model with ``vids`` contracted as well, derived from it.  The
-        components that the new curves meet merge with them and are factored
-        (``DualGraph.factor``); every other component keeps its factor.  The
-        partition is kept under the constructor's key, so a set reached
-        before, in any order, is a hit.  Only the new ids are checked: r and
-        the old ids were checked on this model."""
+        """This model with ``vids`` contracted as well, its partition derived
+        from this one's by ``DualGraph._partition`` under the key of
+        ``blocks``: a set reached before, in any order, is a hit.  Only the
+        new ids are checked, the rest was on this model."""
         graph = self.graph
         for vid in vids:
             graph.vertex(vid)
             if vid in self.contracted:
                 raise UnknownVertex(f"{vid!r} is already contracted")
         contracted = self.contracted.union(vids)
-
-        def grow() -> Optional[dict[frozenset[str], Factor]]:
-            comp_of = self._component_of
-            met = {comp_of[w] for vid in vids for w in graph.adjacency[vid] if w in comp_of}
-            out = {comp: f for comp, f in self._blocks.items() if comp not in met}
-            for comp in graph.connected_components(set(vids).union(*met)):
-                f = out[comp] = graph.factor(comp)
-                if f is None:
-                    return None
-            return out
-
-        blocks = graph._memo(("blocks", contracted), grow)
+        blocks = graph._memo(("blocks", contracted),
+                             lambda: graph._partition(contracted, self._blocks, vids))
         if blocks is None:
             raise NotNegativeDefinite(f"contracted set {sorted(contracted)} is not negative definite")
         child = object.__new__(LogSurfaceModel)

@@ -4,13 +4,16 @@ log exceptional curves, MMP runs, relative K-MMP and almost minimalization.
 Every model below is a contracted-set view of one fixed smooth dual graph, so
 "contract a curve" always means "enlarge the contracted set".  Contracted
 blocks stay negative definite throughout (checked at each step).
+
+Every run, search and verdict scan below steps through one scan, ``_admitted``,
+and one transition, ``_contract``; ``_target`` checks a target set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
@@ -71,6 +74,10 @@ class Step:
     self_int: Fraction
 
 
+# the kept _step answer of each curve asked, None where no step is admitted
+_Answers = dict[str, Optional[Step]]
+
+
 @dataclass(frozen=True)
 class MMPRun:
     start: LogSurfaceModel
@@ -106,36 +113,49 @@ def _step(
     return Step(vid, kind, p, s) if s.numerator < 0 else None
 
 
+def _admitted(model: LogSurfaceModel, order: Iterable[str], kinds: Sequence[str],
+              use_boundary: bool, answers: _Answers) -> Iterator[Step]:
+    """The steps ``_step`` admits on ``model`` for the curves of ``order``
+    not contracted, in that order; each answer is kept in ``answers``, and a
+    kept one is not asked again.  The one caller of ``_step``."""
+    contracted = model.contracted
+    for v in order:
+        if v in contracted:
+            continue
+        if v not in answers:
+            answers[v] = _step(model, v, kinds, use_boundary)
+        step = answers[v]
+        if step is not None:
+            yield step
+
+
+def _contract(model: LogSurfaceModel, step: Step,
+              answers: _Answers) -> tuple[LogSurfaceModel, _Answers]:
+    """The model after ``step`` and the answers that hold on it.  A curve's
+    answer depends only on the curve and on the contracted components it
+    meets (and r): it is kept unless the curve meets the grown component."""
+    child = model.contract(step.vertex)
+    grown = child._component_of[step.vertex]
+    adjacency = child.graph.adjacency
+    return child, {v: s for v, s in answers.items() if grown.isdisjoint(adjacency[v])}
+
+
 def _greedy(
     start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str], use_boundary: bool
 ) -> MMPRun:
-    """The run that contracts, on the running model, the first curve of
-    ``order`` not yet contracted that ``_step`` admits, until none is
-    admitted.  A curve's answer depends only on the curve and on the
-    contracted components it meets (and r), so it is kept until a
-    contraction grows a component that the curve meets."""
+    """The run that takes, through ``_contract``, the first step that
+    ``_admitted`` yields for ``order`` on the running model, until none."""
     steps: list[Step] = []
     models = [start]
-    answers: dict[str, Optional[Step]] = {}
+    answers: _Answers = {}
     cur = start
     while True:
-        step = None
-        for v in order:
-            if v in cur.contracted:
-                continue
-            if v not in answers:
-                answers[v] = _step(cur, v, kinds, use_boundary)
-            step = answers[v]
-            if step is not None:
-                break
+        step = next(_admitted(cur, order, kinds, use_boundary, answers), None)
         if step is None:
             return MMPRun(start, tuple(steps), tuple(models))
         steps.append(step)
-        cur = cur.contract(step.vertex)
+        cur, answers = _contract(cur, step, answers)
         models.append(cur)
-        grown = cur._component_of[step.vertex]
-        adjacency = cur.graph.adjacency
-        answers = {v: s for v, s in answers.items() if grown.isdisjoint(adjacency[v])}
 
 
 def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-id") -> MMPRun:
@@ -149,6 +169,19 @@ def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-i
     return _greedy(model, order, _KINDS[kind], True)
 
 
+def _target(model: LogSurfaceModel, over: Iterable[str]) -> frozenset[str]:
+    """``over`` as a set, checked: known and not yet contracted curves
+    (UnknownVertex), contractible with the contracted set (NotNegativeDefinite)."""
+    target = frozenset(over)
+    for v in target:
+        model.graph.vertex(v)
+        if v in model.contracted:
+            raise UnknownVertex(f"{v!r} is already contracted")
+    if not is_negative_definite(model.graph, model.contracted | target):
+        raise NotNegativeDefinite("target set is not contractible")
+    return target
+
+
 def relative_mmp(
     model: LogSurfaceModel,
     over: Iterable[str],
@@ -159,13 +192,7 @@ def relative_mmp(
     the target set while they pair negatively (non-positively, for the second
     kind) with K[+D] on the running model.  The final contracted set does not
     depend on the choices made (see the run-enumeration tests)."""
-    target = frozenset(over)
-    for v in target:
-        model.graph.vertex(v)
-        if v in model.contracted:
-            raise UnknownVertex(f"{v!r} is already contracted")
-    if not is_negative_definite(model.graph, model.contracted | target):
-        raise NotNegativeDefinite("target set is not contractible")
+    target = _target(model, over)
     # every curve of the target has negative self-intersection on every
     # model of the run, since the whole target is contractible
     return _greedy(model, sorted(target), _KINDS[kind], use_boundary)
@@ -183,12 +210,9 @@ def is_partial_mmp_run(
     run of the first kind iff every member's coefficient drops strictly
     (never increases, for the second kind).  Returns a witness vertex when
     the answer is negative."""
-    sset = frozenset(contracted)
-    for v in sset:
-        model.graph.vertex(v)
-        if v in model.contracted:
-            raise UnknownVertex(f"{v!r} is already contracted")
-    if not is_negative_definite(model.graph, model.contracted | sset):
+    try:
+        sset = _target(model, contracted)
+    except NotNegativeDefinite:
         return False, None
     target = LogSurfaceModel(model.graph, model.contracted | sset, model.uniform_r)
     for v in sorted(sset):
@@ -211,33 +235,30 @@ def enumerate_runs(
     per distinct exceptional set.  Exponential; guarded by vertex count."""
     pool = frozenset(over) if over is not None else frozenset(model.noncontracted())
     if len(pool) > _ENUMERATION_GUARD:
-        raise TooLarge(
-            f"{len(pool)} candidate vertices exceed the guard {_ENUMERATION_GUARD}"
-        )
-    if over is not None and not is_negative_definite(model.graph, model.contracted | pool):
-        raise NotNegativeDefinite("target set is not contractible")
+        raise TooLarge(f"{len(pool)} candidate vertices exceed the guard {_ENUMERATION_GUARD}")
+    if over is not None:
+        _target(model, pool)
+    order = sorted(pool)
     kinds = _KINDS[kind]
     results: dict[frozenset[str], MMPRun] = {}
     seen: set[frozenset[str]] = set()
 
-    def rec(steps: tuple[Step, ...], models: tuple[LogSurfaceModel, ...]) -> None:
+    def rec(steps: tuple[Step, ...], models: tuple[LogSurfaceModel, ...],
+            answers: _Answers) -> None:
         cur = models[-1]
         # distinct runs are distinguished by their exceptional sets: visiting
         # each contracted-set state once is enough to find all of them
         if cur.contracted in seen:
             return
         seen.add(cur.contracted)
-        admitted = [
-            s
-            for s in (_step(cur, v, kinds, use_boundary) for v in sorted(pool - cur.contracted))
-            if s
-        ]
+        admitted = list(_admitted(cur, order, kinds, use_boundary, answers))
         if not admitted:
             results.setdefault(frozenset(s.vertex for s in steps), MMPRun(model, steps, models))
         for s in admitted:
-            rec(steps + (s,), models + (cur.contract(s.vertex),))
+            child, kept = _contract(cur, s, answers)
+            rec(steps + (s,), models + (child,), kept)
 
-    rec((), (model,))
+    rec((), (model,), {})
     return [results[k] for k in sorted(results, key=sorted)]
 
 
@@ -375,12 +396,10 @@ def redundant(
         peeling = peel(model, kind=kind, pure=True)
     peeled = peeling.model
     out = []
-    for v in sorted(set(model.boundary_flagged) - peeling.exceptional):
-        if model.k_pairing(v).numerator >= 0:
-            continue
-        verdict = _step(peeled, v, _KINDS[kind], True)
-        if verdict is None:
-            continue
+    order = (v for v in sorted(set(model.boundary_flagged) - peeling.exceptional)
+             if model.k_pairing(v).numerator < 0)
+    for verdict in _admitted(peeled, order, _KINDS[kind], True, {}):
+        v = verdict.vertex
         self_kind = curve_verdict(model, v).kind
         comps = _met_components(model, peeling.exceptional, v)
         case = _redundant_case(model, v, self_kind, comps)
@@ -438,12 +457,10 @@ def almost_log_exceptional(
     if peeling is None:
         peeling = peel(model, kind=kind, pure=True)
     peeled = peeling.model
-    flagged = set(model.boundary_flagged)
     out = []
-    for v in sorted(set(model.noncontracted()) - flagged - peeling.exceptional):
-        verdict = _step(peeled, v, _KINDS[kind], True)
-        if verdict is None:
-            continue
+    order = sorted(set(peeled.noncontracted()) - set(model.boundary_flagged))
+    for verdict in _admitted(peeled, order, _KINDS[kind], True, {}):
+        v = verdict.vertex
         if verdict.kind == SECOND and model.k_pairing(v).numerator == 0:
             continue
         comps = _met_components(model, peeling.exceptional, v)
@@ -765,19 +782,13 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
         alpha |= peeling.exceptional
         peeled = peeling.final
         ladder.append(LadderRung(cur, alpha, _eps_for(cur)))
-        pick = next(
-            (
-                v
-                for v in sorted(peeled.noncontracted())
-                if cur.k_pairing(v).numerator < 0 and _step(peeled, v, kinds, True)
-            ),
-            None,
-        )
+        order = (v for v in sorted(peeled.noncontracted()) if cur.k_pairing(v).numerator < 0)
+        pick = next(_admitted(peeled, order, kinds, True, {}), None)
         if pick is None:
             break
-        sigma = relative_k_mmp(cur, alpha | {pick})
+        sigma = relative_k_mmp(cur, alpha | {pick.vertex})
         am_run = MMPRun(model, am_run.steps + sigma.steps, am_run.models + sigma.models[1:])
-        alpha = (alpha | {pick}) - sigma.exceptional
+        alpha = (alpha | {pick.vertex}) - sigma.exceptional
 
     if kind == SECOND:
         # maximality of the run: K-trivial curves off the boundary whose

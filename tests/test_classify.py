@@ -262,7 +262,7 @@ def test_half_closed_forms_equal_linear_solve():
         matched = None
         for strict in (True, False):
             try:
-                matched = classify_half(gm, strict=strict, r=HALF)
+                matched = classify_half(gm, strict=strict)
                 break
             except NotApplicable:
                 continue
@@ -307,7 +307,7 @@ def test_half_2d_twig_formula_at_half_and_bound_below():
     for k in (1, 2, 3):
         g = chain_graph(3, *([2] * (k - 1)), decorations={k - 1: 1})
         gm = germ(g)
-        hc = classify_half(gm, strict=False, r=HALF)
+        hc = classify_half(gm, strict=False)
         assert hc.tag == "(2b)" and hc.formula == "(2d)"
         assert set(hc.coefficients.values()) == {HALF}
         for r in (F(0), F(1, 4), F(1, 3)):

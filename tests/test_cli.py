@@ -13,6 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from logsurf import (
+    DualGraph,
     ParseError,
     fixture_corpus,
     is_negative_definite,
@@ -135,6 +136,17 @@ def test_model_from_dict_takes_subclasses_of_the_json_types():
     assert model_from_dict(doc) == model_from_dict(want)
     with pytest.raises(ParseError, match=r"^vertices\[1\]: unknown field 'mult'$"):
         model_from_dict({"vertices": [{"id": "a", "weight": 2}, OrderedDict(id="b", weight=2, mult=1)]})
+
+
+def test_a_fault_below_the_reader_is_not_made_a_domain_error(monkeypatch):
+    # every value is type-checked before the graph is built, so whatever the
+    # graph layer raises beyond a LogSurfError is a fault of the program
+    def fault(self):
+        raise RuntimeError("a fault of the program")
+
+    monkeypatch.setattr(DualGraph, "__post_init__", fault)
+    with pytest.raises(RuntimeError, match="a fault of the program"):
+        model_from_dict({"vertices": [{"id": "a", "weight": 2}]})
 
 
 # -- commands ------------------------------------------------------------------

@@ -269,11 +269,12 @@ def test_projection_formula():
     assert mod.intersect(A, B) == g.pairing(mod.pullback(A), B)
 
 
-def test_the_model_layer_solves_in_one_place():
-    """Outside ``linalg``, ``solve_factored`` is named only by its import in
-    ``graph`` and inside ``graph._solve_int``: every solve of the model layer
-    goes through that one function."""
+def _references(name):
+    """Where ``src/logsurf`` names ``name``: the dotted function scope of each
+    use, and "module (import)" for each import of it.  A method, given as
+    "Class.method", is matched as an attribute only."""
     refs = []
+    method = name.rpartition(".")[2] if "." in name else None
 
     class Refs(ast.NodeVisitor):
         def __init__(self, module):
@@ -287,22 +288,42 @@ def test_the_model_layer_solves_in_one_place():
         visit_AsyncFunctionDef = visit_ClassDef = visit_Lambda = visit_FunctionDef
 
         def visit_alias(self, node):
-            if node.name == "solve_factored":
+            if node.name == name:
                 refs.append(f"{self.scope[0]} (import)")
 
         def visit_Name(self, node):
-            if node.id == "solve_factored":
+            if method is None and node.id == name:
                 refs.append(".".join(self.scope))
 
         def visit_Attribute(self, node):
-            if node.attr == "solve_factored":
+            if node.attr == (method or name):
                 refs.append(".".join(self.scope))
             self.generic_visit(node)
 
     for path in sorted(Path(logsurf.__file__).parent.glob("*.py")):
-        if path.stem != "linalg":
-            Refs(path.stem).visit(ast.parse(path.read_text()))
-    assert refs == ["graph (import)", "graph._solve_int"]
+        Refs(path.stem).visit(ast.parse(path.read_text()))
+    return refs
+
+
+# each primitive of the engines and the one function allowed to call it
+_ONE_CALLER = {
+    # every solve of the model layer
+    "solve_factored": "graph._solve_int",
+    # every step question of the run layer: the one scan
+    "_step": "mmp._admitted",
+    # every factorization of a contracted component: the partition builder
+    "DualGraph.factor": "graph.DualGraph._partition",
+}
+
+
+def test_the_model_layer_solves_in_one_place():
+    """Each name of ``_ONE_CALLER`` is used in ``src`` only inside its
+    caller, and imported, if at all, only into the caller's module."""
+    got = {
+        name: [r for r in _references(name) if r != f"{caller.split('.')[0]} (import)"]
+        for name, caller in _ONE_CALLER.items()
+    }
+    assert got == {name: [caller] for name, caller in _ONE_CALLER.items()}
 
 
 # -- branching numbers and negative definiteness -----------------------------

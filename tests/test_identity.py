@@ -35,10 +35,16 @@ the target and over the whole pool (refused by the guard above eight
 curves), on 300 seeded log smooth trees of 6-16 curves with r = 1/3, 1/2,
 2/3 and 1 in turn, about a third of them with a negative definite set
 already contracted.  Steps are hashed with their kind and both numbers.
+
+The fourth and fifth digests are computed once more in a subprocess under
+another hash seed: no answer may follow the iteration order of a set.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -361,3 +367,19 @@ def test_run_answers_are_identical():
     assert min(seen[k] for k in ("contracted start", "ladder of two or more", "two or more runs",
                                  "NotNegativeDefinite", "TooLarge", "relative")) >= 10, seen
     assert h.hexdigest() == DIGESTS["runs"]
+
+
+def test_run_and_redundancy_digests_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    script = (
+        "import test_identity as t\n"
+        "t.test_redundancy_and_uniform_coefficient_answers_are_identical()\n"
+        "t.test_run_answers_are_identical()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((str(here.parent / "src"), str(here))),
+                 PYTHONHASHSEED="7"),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

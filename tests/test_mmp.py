@@ -9,6 +9,7 @@ from logsurf import (
     Edge,
     LogSurfaceModel,
     TooLarge,
+    UnknownVertex,
     Vertex,
     almost_log_exceptional,
     almost_minimalize,
@@ -25,6 +26,7 @@ from logsurf import (
     run_mmp,
     squeeze,
 )
+from logsurf import mmp
 from logsurf.graph import _branching_numbers, contracts_to_smooth_point
 from logsurf.mmp import Step, _chain_shape, _step, curve_verdict, log_exceptional
 
@@ -478,6 +480,40 @@ def test_enumerate_guard():
     g = chain_graph(*([2] * 9))
     with pytest.raises(TooLarge):
         enumerate_runs(model(g))
+
+
+def test_a_contracted_target_curve_is_refused_by_every_run_over_a_target():
+    m = model(chain_graph(2, 2, 2), contracted=("v0",))
+    with pytest.raises(UnknownVertex, match=r"^'v0' is already contracted$"):
+        enumerate_runs(m, over={"v0", "v1"})
+    for call in (relative_k_mmp, is_partial_mmp_run):
+        with pytest.raises(UnknownVertex, match=r"^'v0' is already contracted$"):
+            call(m, {"v0", "v1"})
+    # the guard comes first
+    g = chain_graph(*([2] * 10))
+    with pytest.raises(TooLarge):
+        enumerate_runs(model(g, contracted=("v0",)), over=set(g.ids))
+
+
+def test_enumerate_runs_keeps_the_answers_a_contraction_leaves_valid(monkeypatch):
+    # a curve is asked again only after a contraction grows a component it
+    # meets; asking every curve at every state took 764 questions here
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _step(*args)
+
+    monkeypatch.setattr(mmp, "_step", counted)
+    for fx in fixture_corpus():
+        for r in (fx.model.uniform_r, F(1, 2)):
+            m = LogSurfaceModel(fx.model.graph, fx.model.contracted, r)
+            for kind in ("first", "second"):
+                try:
+                    enumerate_runs(m, kind)
+                except TooLarge:
+                    pass
+    assert len(calls) <= 479
 
 
 # -- squeezing ---------------------------------------------------------------------------
