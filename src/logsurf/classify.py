@@ -216,10 +216,11 @@ def eps_check(model: LogSurfaceModel, eps: Fraction) -> EpsVerdict:
     """
     eps = Fraction(eps)
     tc = total_coefficient(model)
+    # the bound 1 - eps as n/d, compared by integer cross-multiplication
     bound = 1 - eps
-    is_lc = tc.value <= bound
-    exc = model.coefficients
-    is_dlt = is_lc and all(c < bound for c in exc.values())
+    n, d = bound.numerator, bound.denominator
+    is_lc = tc.value.numerator * d <= n * tc.value.denominator
+    is_dlt = is_lc and all(c.numerator * d < n * c.denominator for c in model.coefficients.values())
     if tc.witness:
         witness, witness_cf = tc.witness, tc.value
     else:

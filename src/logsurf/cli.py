@@ -288,12 +288,11 @@ def _amm(model: LogSurfaceModel, args) -> tuple[dict, str]:
             {"contracted": r.model.contracted, "peeling": r.peeling_exc, "eps_verdict": r.verdict}
             for r in decomp.ladder
         ],
-        "intermediate_eps": [
-            eps_check(m, 1 - m.r) if m.r is not None else None for m in decomp.am.models
-        ],
+        # the per-state verdict the ladder memoized: each rung model is a hit
+        "intermediate_eps": [mmp._eps_for(m) for m in decomp.am.models],
     }
     if final.r is not None:
-        result["final_eps"] = eps_check(final, 1 - final.r)
+        result["final_eps"] = mmp._eps_for(final)
     result = _json(result)
     lines = [
         "almost minimalization contracts: "

@@ -394,6 +394,15 @@ def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
         entries[b] = model.coeff(b)
     if not entries:
         return TotalCoefficient(ZERO, "", entries, model.graph)
-    value = max(entries.values())
-    witness = min(v for v, c in entries.items() if c == value)
+    # the first maximal entry and the least id that reaches it, compared by
+    # integer cross-multiplication over the positive denominators
+    items = iter(entries.items())
+    witness, value = next(items)
+    n, d = value.numerator, value.denominator
+    for v, c in items:
+        lhs, rhs = c.numerator * d, n * c.denominator
+        if lhs > rhs:
+            witness, value, n, d = v, c, c.numerator, c.denominator
+        elif lhs == rhs and v < witness:
+            witness = v
     return TotalCoefficient(value, witness, entries, model.graph)

@@ -6,14 +6,21 @@ Every model below is a contracted-set view of one fixed smooth dual graph, so
 blocks stay negative definite throughout (checked at each step).
 
 Every run, search and verdict scan below steps through one scan, ``_admitted``,
-and one transition, ``_contract``; ``_target`` checks a target set.
+and one transition, ``_contract``; ``_target`` checks a target set.  An
+answer about a curve depends only on the curve and on the contracted
+components it meets (and r), so a transition keeps every answer but those of
+the curves that meet a grown component (``_kept``).  The ladder of
+``almost_minimalize`` is one such chain too: its peelings and picks share
+their step answers from rung to rung, its K-signs are kept through each
+squeeze by the same rule, and each rung's verdict is kept in the graph's
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
@@ -76,6 +83,7 @@ class Step:
 
 # the kept _step answer of each curve asked, None where no step is admitted
 _Answers = dict[str, Optional[Step]]
+_A = TypeVar("_A")
 
 
 @dataclass(frozen=True)
@@ -129,30 +137,35 @@ def _admitted(model: LogSurfaceModel, order: Iterable[str], kinds: Sequence[str]
             yield step
 
 
+def _kept(model: LogSurfaceModel, grown: frozenset[str], answers: dict[str, _A]) -> dict[str, _A]:
+    """The answers that still hold on ``model``, whose components holding the
+    curves ``grown`` are new.  A curve's answer depends only on the curve and
+    on the contracted components it meets (and r): it is kept unless the
+    curve meets one of ``grown``."""
+    adjacency = model.graph.adjacency
+    return {v: a for v, a in answers.items() if grown.isdisjoint(adjacency[v])}
+
+
 def _contract(model: LogSurfaceModel, step: Step,
               answers: _Answers) -> tuple[LogSurfaceModel, _Answers]:
-    """The model after ``step`` and the answers that hold on it.  A curve's
-    answer depends only on the curve and on the contracted components it
-    meets (and r): it is kept unless the curve meets the grown component."""
+    """The model after ``step`` and the answers that hold on it (``_kept``)."""
     child = model.contract(step.vertex)
-    grown = child._component_of[step.vertex]
-    adjacency = child.graph.adjacency
-    return child, {v: s for v, s in answers.items() if grown.isdisjoint(adjacency[v])}
+    return child, _kept(child, child._component_of[step.vertex], answers)
 
 
-def _greedy(
-    start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str], use_boundary: bool
-) -> MMPRun:
+def _greedy(start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str],
+            use_boundary: bool, answers: _Answers) -> tuple[MMPRun, _Answers]:
     """The run that takes, through ``_contract``, the first step that
-    ``_admitted`` yields for ``order`` on the running model, until none."""
+    ``_admitted`` yields for ``order`` on the running model, until none; and
+    the answers that hold on its final model.  ``answers`` are those that
+    hold on ``start``."""
     steps: list[Step] = []
     models = [start]
-    answers: _Answers = {}
     cur = start
     while True:
         step = next(_admitted(cur, order, kinds, use_boundary, answers), None)
         if step is None:
-            return MMPRun(start, tuple(steps), tuple(models))
+            return MMPRun(start, tuple(steps), tuple(models)), answers
         steps.append(step)
         cur, answers = _contract(cur, step, answers)
         models.append(cur)
@@ -166,7 +179,7 @@ def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-i
 
     first = set(model.boundary_flagged) if strategy == "boundary-first" else set()
     order = sorted(model.noncontracted(), key=lambda v: (v not in first, v))
-    return _greedy(model, order, _KINDS[kind], True)
+    return _greedy(model, order, _KINDS[kind], True, {})[0]
 
 
 def _target(model: LogSurfaceModel, over: Iterable[str]) -> frozenset[str]:
@@ -195,7 +208,7 @@ def relative_mmp(
     target = _target(model, over)
     # every curve of the target has negative self-intersection on every
     # model of the run, since the whole target is contractible
-    return _greedy(model, sorted(target), _KINDS[kind], use_boundary)
+    return _greedy(model, sorted(target), _KINDS[kind], use_boundary, {})[0]
 
 
 def relative_k_mmp(model: LogSurfaceModel, over: Iterable[str]) -> MMPRun:
@@ -294,22 +307,13 @@ class PeelingData:
         return self.run.final
 
 
-def _peel_candidates(model: LogSurfaceModel, pure: bool) -> list[str]:
-    """Candidates of a peeling of ``model``, in order: its boundary
-    components, with K of ``model`` nonnegative on each when purity is
-    requested."""
-    return sorted(
-        v
-        for v in model.boundary_flagged
-        if not pure or model.k_pairing(v).numerator >= 0
-    )
-
-
 def peel(model: LogSurfaceModel, kind: str = FIRST, pure: bool = True) -> PeelingData:
     """Maximal (pure) partial peeling: greedily contract boundary components
     that are log exceptional of an allowed kind on the running model, with
     K of the starting model nonnegative on each when purity is requested."""
-    run = _greedy(model, _peel_candidates(model, pure), _KINDS[kind], True)
+    order = sorted(v for v in model.boundary_flagged
+                   if not pure or model.k_pairing(v).numerator >= 0)
+    run = _greedy(model, order, _KINDS[kind], True, {})[0]
     gamma, lam, delta, extra = _classify_peeled(model, run.exceptional)
     return PeelingData(run, pure, kind, gamma, lam, delta, extra)
 
@@ -493,9 +497,11 @@ def _chain_shape(
 
 
 def _l_dot_R(model: LogSurfaceModel, vid: str, e: frozenset[str]) -> Fraction:
-    rest = set(model.boundary_flagged) - e - {vid}
-    total = sum((Fraction(model.graph.mult(vid, w)) for w in rest), ZERO)
-    return total + model.graph.vertex(vid).decoration
+    # the integer multiplicities, then the decoration once
+    graph = model.graph
+    theta = graph.vertex(vid).decoration
+    rest = set(model.boundary_flagged) - e
+    return sum(m for w, m in graph.adjacency[vid].items() if w in rest) + theta
 
 
 def _e_dot_R(model: LogSurfaceModel, vid: str, e: frozenset[str]) -> int:
@@ -754,10 +760,14 @@ class AlmostMinDecomposition:
 
 
 def _eps_for(model: LogSurfaceModel) -> Optional[EpsVerdict]:
+    """The (1 - r)-verdict of ``model``, None without a uniform r.  It depends
+    only on the contracted set and r, so the graph's table keeps it: a set
+    that two rungs, both kinds or the CLI reach is checked once."""
     r = model.r
     if r is None:
         return None
-    return eps_check(model, 1 - r)
+    key = ("eps", model.contracted, model._r_key)
+    return model.graph._memo(key, lambda: eps_check(model, 1 - r))
 
 
 def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDecomposition:
@@ -768,27 +778,53 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     squeeze (run the K-MMP of the composite over its target) and extend the
     residual peeling to a maximal pure one.  When no such curve remains, the
     running model is almost minimal and alpha lands on a minimal model.
+
+    The ladder is one incremental chain, and two sets of answers carry from
+    rung to rung.  The squeeze sigma contracts only curves of alpha + l, so
+    the peeled model of the next rung, the running model with the residual
+    peeling contracted, is the peeled model with l contracted: the peelings
+    and the picks step along one chain of ``_contract`` transitions and
+    share its ``_step`` answers.  The K-signs of the running model, which
+    decide purity, the pick order and the K-trivial sweep, are kept through
+    sigma by ``_kept``: the K-pairing of a curve changes only when the curve
+    meets a component that holds a curve sigma contracted.
     """
     kinds = _KINDS[kind]
-    am_run = MMPRun(model, (), (model,))
+    steps: list[Step] = []
+    models = [model]
     ladder: list[LadderRung] = []
     alpha: frozenset[str] = frozenset()
+    cur = peeled = model  # the running model, and it with alpha contracted
+    answers: _Answers = {}  # the _step answers that hold on peeled
+    signs: dict[str, int] = {}  # the numerator of K.v on cur
+
+    def k_sign(v: str) -> int:
+        # asked of the running model once, then read from the kept signs
+        if v not in signs:
+            signs[v] = cur.k_pairing(v).numerator
+        return signs[v]
+
     while True:
-        cur = am_run.final
         # extend the residual peeling to a maximal pure one, purity measured
         # on the running model
-        seeded = LogSurfaceModel(cur.graph, cur.contracted | alpha, cur.uniform_r)
-        peeling = _greedy(seeded, _peel_candidates(cur, pure=True), kinds, True)
+        order = sorted(v for v in cur.boundary_flagged if v not in alpha and k_sign(v) >= 0)
+        peeling, answers = _greedy(peeled, order, kinds, True, answers)
         alpha |= peeling.exceptional
         peeled = peeling.final
         ladder.append(LadderRung(cur, alpha, _eps_for(cur)))
-        order = (v for v in sorted(peeled.noncontracted()) if cur.k_pairing(v).numerator < 0)
-        pick = next(_admitted(peeled, order, kinds, True, {}), None)
+        order = (v for v in sorted(peeled.noncontracted()) if k_sign(v) < 0)
+        pick = next(_admitted(peeled, order, kinds, True, answers), None)
         if pick is None:
             break
+        # contracted first, so the target check of sigma finds its set
+        peeled, answers = _contract(peeled, pick, answers)
         sigma = relative_k_mmp(cur, alpha | {pick.vertex})
-        am_run = MMPRun(model, am_run.steps + sigma.steps, am_run.models + sigma.models[1:])
+        steps += sigma.steps
+        models += sigma.models[1:]
+        cur = sigma.final
         alpha = (alpha | {pick.vertex}) - sigma.exceptional
+        comp_of = cur._component_of
+        signs = _kept(cur, frozenset().union(*(comp_of[v] for v in sigma.exceptional)), signs)
 
     if kind == SECOND:
         # maximality of the run: K-trivial curves off the boundary whose
@@ -796,17 +832,13 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
         # these contractions are crepant and log crepant, so they leave the
         # almost minimal model untouched and extend the residual peeling
         flagged = set(cur.boundary_flagged)
-        k_trivial = sorted(
-            v
-            for v in peeled.noncontracted()
-            if v not in flagged and cur.k_pairing(v).numerator == 0
-        )
-        sweep = _greedy(peeled, k_trivial, (SECOND,), True)
-        alpha |= sweep.exceptional
+        k_trivial = sorted(v for v in peeled.noncontracted() if v not in flagged and k_sign(v) == 0)
+        alpha |= _greedy(peeled, k_trivial, (SECOND,), True, {})[0].exceptional
 
     # one legal elementary-contraction order for the whole run psi
-    total = (am_run.final.contracted - model.contracted) | alpha
+    total = (cur.contracted - model.contracted) | alpha
     psi = relative_mmp(model, total, use_boundary=True, kind=kind)
     if psi.exceptional != frozenset(total):  # pragma: no cover - theory guarantee
         raise AssertionError("could not realize the run as elementary contractions")
+    am_run = MMPRun(model, tuple(steps), tuple(models))
     return AlmostMinDecomposition(psi, am_run, alpha, tuple(ladder))

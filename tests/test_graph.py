@@ -313,6 +313,8 @@ _ONE_CALLER = {
     "_step": "mmp._admitted",
     # every factorization of a contracted component: the partition builder
     "DualGraph.factor": "graph.DualGraph._partition",
+    # every transition of the run layer, the ladder of almost_minimalize too
+    "LogSurfaceModel.contract": "mmp._contract",
 }
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
@@ -24,6 +25,7 @@ from logsurf import (
     coefficients_linear,
     discriminant,
     eps_check,
+    is_negative_definite,
     total_coefficient,
 )
 from logsurf.invariants import classify_peelable, fork_delta
@@ -418,3 +420,48 @@ def test_total_coefficient_examples():
     d4 = fork_graph(2, (2,), (2,), (2,))
     tc4 = total_coefficient(model(d4, contracted=d4.ids))
     assert tc4.value == 0
+
+
+def _fraction_verdict(m, eps):
+    """tcf, its witness, lc and dlt by Fraction comparisons: the maximum of
+    the exceptional and boundary coefficients, the least id reaching it."""
+    entries = dict(m.coefficients)
+    entries.update((b, m.coeff(b)) for b in m.boundary_support)
+    value = max(entries.values(), default=F(0))
+    witness = min((v for v, c in entries.items() if c == value), default="")
+    bound = 1 - eps
+    is_lc = value <= bound
+    return value, witness, is_lc, is_lc and all(c < bound for c in m.coefficients.values())
+
+
+def test_integer_comparisons_equal_the_fraction_comparisons():
+    rng = random.Random(20)
+    coeffs = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(2, 5))
+    seen = Counter()
+    for i in range(300):
+        n = rng.randint(1, 8)
+        flagged = 0.0 if i % 25 == 0 else 0.5
+        vs = tuple(Vertex(f"x{j}", rng.randint(1, 4),
+                          boundary=rng.choice(coeffs) if rng.random() < flagged else F(0))
+                   for j in range(n))
+        g = DualGraph(vs, tuple(Edge(f"x{rng.randrange(j)}", f"x{j}") for j in range(1, n)))
+        exc = frozenset(v.id for v in vs if rng.random() < (0 if i % 25 == 0 else 0.6))
+        if not is_negative_definite(g, exc):
+            exc = frozenset()
+        m = LogSurfaceModel(g, exc, rng.choice((None, None, F(1, 2), F(2, 3))))
+        values = [*m.coefficients.values(), *(m.coeff(b) for b in m.boundary_support)]
+        for eps in {F(0), F(1, 10), *(1 - c for c in values if c <= 1)}:
+            value, witness, is_lc, is_dlt = _fraction_verdict(m, eps)
+            tc, v = total_coefficient(m), eps_check(m, eps)
+            assert (tc.value, tc.witness) == (value, witness), (i, eps)
+            assert (v.tcf, v.is_lc, v.is_dlt) == (value, is_lc, is_dlt), (i, eps)
+            assert type(tc.value) is F
+            seen["no entries"] += witness == ""
+            seen["tie"] += values.count(value) >= 2
+            seen["tcf at the bound"] += value == 1 - eps
+            seen["exceptional at the bound"] += (1 - eps) in m.coefficients.values()
+            seen["non-uniform"] += len({m.coeff(b) for b in m.boundary_support}) >= 2
+            seen["negative tcf"] += value < 0
+            seen["lc" if is_lc else "not lc"] += 1
+            seen["dlt" if is_dlt else "lc, not dlt" if is_lc else "not dlt"] += 1
+    assert min(seen.values()) >= 20, seen
