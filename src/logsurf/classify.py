@@ -8,8 +8,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .errors import NotApplicable, NotLogTerminal, NotMinimal
-from .graph import DualGraph, Fork, LogSurfaceModel, ZERO, _as_bench, _as_fork, _chain_order
+from .errors import CoeffOutOfRange, NotApplicable, NotLogTerminal, NotMinimal
+from .graph import (
+    DualGraph, Fork, LogSurfaceModel, ZERO, _as_bench, _as_fork, _as_rational, _chain_order,
+)
 from .invariants import (
     GermGraph,
     chain_data,
@@ -212,9 +214,12 @@ def eps_check(model: LogSurfaceModel, eps: Fraction) -> EpsVerdict:
     every exceptional coefficient of this resolution is < 1 - eps.
 
     For eps > 0 any log resolution computes the same answer; at eps = 0 a
-    negative dlt verdict is relative to the given resolution.
+    negative dlt verdict is relative to the given resolution.  ``eps`` is an
+    int or a Fraction in [0, 1] (ValidationError, CoeffOutOfRange).
     """
-    eps = Fraction(eps)
+    eps = _as_rational("eps_check", "eps", eps)
+    if not 0 <= eps.numerator <= eps.denominator:
+        raise CoeffOutOfRange(f"eps {eps} not in [0,1]")
     tc = total_coefficient(model)
     # the bound 1 - eps as n/d, compared by integer cross-multiplication
     bound = 1 - eps

@@ -95,6 +95,15 @@ def _check_types(
             raise ValidationError(f"{owner}: {name} must be an integer or a Fraction, got {value!r}")
 
 
+def _as_rational(owner: str, name: str, value: object) -> Fraction:
+    """``value`` as a Fraction, held to the check of a vertex's rationals: an
+    int or a Fraction, never a bool, a float or a string."""
+    if type(value) is Fraction:
+        return value
+    _check_types(owner, {}, {}, {name: value})
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A curve: weight = -E^2, decoration = germ-mode contact with unseen
@@ -186,10 +195,6 @@ class DualGraph:
         return {v.id: v for v in self.vertices}
 
     @cached_property
-    def _mult(self) -> dict[tuple[str, str], int]:
-        return {e.pair: e.mult for e in self.edges}
-
-    @cached_property
     def adjacency(self) -> dict[str, dict[str, int]]:
         adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
         for e in self.edges:
@@ -206,8 +211,8 @@ class DualGraph:
     def mult(self, u: str, v: str) -> int:
         if u == v:
             return -self.vertex(u).weight
-        key = (u, v) if u < v else (v, u)
-        return self._mult.get(key, 0)
+        # 0 for a pair that is not an edge, also where an id is unknown
+        return self.adjacency.get(u, {}).get(v, 0)
 
     def pairing(self, A: Mapping[str, Fraction], B: Mapping[str, Fraction]) -> Fraction:
         """Raw bilinear intersection form on the smooth model."""
@@ -645,7 +650,7 @@ class LogSurfaceModel:
         r = self.uniform_r
         if r is not None:
             if type(r) is not Fraction:
-                r = Fraction(r)
+                r = _as_rational("model", "uniform_r", r)
                 object.__setattr__(self, "uniform_r", r)
             if not 0 <= r.numerator <= r.denominator:
                 raise CoeffOutOfRange(f"uniform coefficient {r} not in [0,1]")

@@ -24,6 +24,7 @@ from .graph import (
     ZERO,
     ONE,
     _as_fork,
+    _as_rational,
     _chain_order,
     _maximal_twigs,
 )
@@ -285,8 +286,9 @@ def coefficient_divisor_uniform(
 ) -> CoefficientVector:
     """Closed form for a uniform boundary: Exc - Bk_D(Exc) - (1-r) Bk-transpose
     of the twig part.  Requires exc to consist of maximal admissible twigs,
-    admissible rods and admissible forks of the reduced boundary."""
-    r = Fraction(r)
+    admissible rods and admissible forks of the reduced boundary.  ``r`` is
+    an int or a Fraction (ValidationError)."""
+    r = _as_rational("coefficient_divisor_uniform", "r", r)
     graph = model.graph
     excset = set(exc)
     comps = classify_peelable(graph, model.boundary_flagged, excset)

@@ -6,7 +6,9 @@ Every model below is a contracted-set view of one fixed smooth dual graph, so
 blocks stay negative definite throughout (checked at each step).
 
 Every run, search and verdict scan below steps through one scan, ``_admitted``,
-and one transition, ``_contract``; ``_target`` checks a target set.  An
+and one transition, ``_contract``; ``_target`` checks a target set.  The two
+verdict lists, ``redundant`` and ``almost_log_exceptional``, step through one
+verdict scan on the peeled model, ``_scan``, and read D once per scan.  An
 answer about a curve depends only on the curve and on the contracted
 components it meets (and r), so a transition keeps every answer but those of
 the curves that meet a grown component (``_kept``).  The ladder of
@@ -25,6 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
 from .graph import (
+    DualGraph,
     LogSurfaceModel,
     ZERO,
     _as_fork,
@@ -42,6 +45,14 @@ SECOND = "second"
 _KINDS = {FIRST: (FIRST,), SECOND: (FIRST, SECOND)}
 # largest candidate pool enumerate_runs explores
 _ENUMERATION_GUARD = 8
+
+
+def _kinds(kind: str) -> tuple[str, ...]:
+    """The kinds of curve a run of ``kind`` may contract; NotApplicable for
+    any other kind.  Every entry point that takes a kind asks it first."""
+    if isinstance(kind, str) and kind in _KINDS:
+        return _KINDS[kind]
+    raise NotApplicable(f"unknown kind {kind!r}")
 
 
 # The field set and order are a CLI report format, checked by schema/report.schema.json.
@@ -83,6 +94,8 @@ class Step:
 
 # the kept _step answer of each curve asked, None where no step is admitted
 _Answers = dict[str, Optional[Step]]
+# the components of Exc(alpha) that a curve meets
+_Comps = tuple[frozenset[str], ...]
 _A = TypeVar("_A")
 
 
@@ -174,12 +187,13 @@ def _greedy(start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str],
 def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-id") -> MMPRun:
     """A maximal run: contract log exceptional curves of the requested kind
     until none is left.  ``boundary-first`` prefers boundary components."""
+    kinds = _kinds(kind)
     if strategy not in ("lowest-id", "boundary-first"):
         raise NotApplicable(f"unknown strategy {strategy!r}")
 
     first = set(model.boundary_flagged) if strategy == "boundary-first" else set()
     order = sorted(model.noncontracted(), key=lambda v: (v not in first, v))
-    return _greedy(model, order, _KINDS[kind], True, {})[0]
+    return _greedy(model, order, kinds, True, {})[0]
 
 
 def _target(model: LogSurfaceModel, over: Iterable[str]) -> frozenset[str]:
@@ -205,10 +219,11 @@ def relative_mmp(
     the target set while they pair negatively (non-positively, for the second
     kind) with K[+D] on the running model.  The final contracted set does not
     depend on the choices made (see the run-enumeration tests)."""
+    kinds = _kinds(kind)
     target = _target(model, over)
     # every curve of the target has negative self-intersection on every
     # model of the run, since the whole target is contractible
-    return _greedy(model, sorted(target), _KINDS[kind], use_boundary, {})[0]
+    return _greedy(model, sorted(target), kinds, use_boundary, {})[0]
 
 
 def relative_k_mmp(model: LogSurfaceModel, over: Iterable[str]) -> MMPRun:
@@ -223,6 +238,7 @@ def is_partial_mmp_run(
     run of the first kind iff every member's coefficient drops strictly
     (never increases, for the second kind).  Returns a witness vertex when
     the answer is negative."""
+    _kinds(kind)
     try:
         sset = _target(model, contracted)
     except NotNegativeDefinite:
@@ -246,13 +262,13 @@ def enumerate_runs(
 ) -> list[MMPRun]:
     """All maximal runs under all elementary-contraction orders, one witness
     per distinct exceptional set.  Exponential; guarded by vertex count."""
+    kinds = _kinds(kind)
     pool = frozenset(over) if over is not None else frozenset(model.noncontracted())
     if len(pool) > _ENUMERATION_GUARD:
         raise TooLarge(f"{len(pool)} candidate vertices exceed the guard {_ENUMERATION_GUARD}")
     if over is not None:
         _target(model, pool)
     order = sorted(pool)
-    kinds = _KINDS[kind]
     results: dict[frozenset[str], MMPRun] = {}
     seen: set[frozenset[str]] = set()
 
@@ -311,9 +327,10 @@ def peel(model: LogSurfaceModel, kind: str = FIRST, pure: bool = True) -> Peelin
     """Maximal (pure) partial peeling: greedily contract boundary components
     that are log exceptional of an allowed kind on the running model, with
     K of the starting model nonnegative on each when purity is requested."""
+    kinds = _kinds(kind)
     order = sorted(v for v in model.boundary_flagged
                    if not pure or model.k_pairing(v).numerator >= 0)
-    run = _greedy(model, order, _KINDS[kind], True, {})[0]
+    run = _greedy(model, order, kinds, True, {})[0]
     gamma, lam, delta, extra = _classify_peeled(model, run.exceptional)
     return PeelingData(run, pure, kind, gamma, lam, delta, extra)
 
@@ -385,54 +402,55 @@ class ALEVerdict:
     components: tuple[frozenset[str], ...]
 
 
-def _met_components(
-    model: LogSurfaceModel, exc: frozenset[str], vid: str
-) -> tuple[frozenset[str], ...]:
-    comps = model.graph.connected_components(exc)
-    return tuple(c for c in comps if any(model.graph.mult(vid, w) > 0 for w in c))
+def _scan(model: LogSurfaceModel, peeling: PeelingData, order: Iterable[str],
+          kinds: Sequence[str]) -> Iterator[tuple[Step, _Comps]]:
+    """The one verdict scan: the steps that ``_admitted`` admits on the peeled
+    model for the curves of ``order``, each with the components of Exc(alpha)
+    that its curve meets.  Exc(alpha) is split into components once."""
+    adjacency = model.graph.adjacency
+    comps = model.graph.connected_components(peeling.exceptional)
+    for step in _admitted(peeling.model, order, kinds, True, {}):
+        near = adjacency[step.vertex]
+        yield step, tuple(c for c in comps if not c.isdisjoint(near))
 
 
 def redundant(
     model: LogSurfaceModel, peeling: Optional[PeelingData] = None, kind: str = SECOND
 ) -> list[RedundantVerdict]:
     """Boundary components with l.K < 0 whose peeled image is log exceptional."""
+    kinds = _kinds(kind)
     if peeling is None:
         peeling = peel(model, kind=kind, pure=True)
-    peeled = peeling.model
+    graph = model.graph
+    # D, beta_D and the maximal twigs of D, read once for every verdict
+    dset = frozenset(model.boundary_flagged)
+    betas = _branching_numbers(graph, dset)
+    twigs = tuple(_maximal_twigs(graph, dset).values())
     out = []
-    order = (v for v in sorted(set(model.boundary_flagged) - peeling.exceptional)
-             if model.k_pairing(v).numerator < 0)
-    for verdict in _admitted(peeled, order, _KINDS[kind], True, {}):
-        v = verdict.vertex
+    order = (v for v in sorted(dset - peeling.exceptional) if model.k_pairing(v).numerator < 0)
+    for step, comps in _scan(model, peeling, order, kinds):
+        v = step.vertex
         self_kind = curve_verdict(model, v).kind
-        comps = _met_components(model, peeling.exceptional, v)
-        case = _redundant_case(model, v, self_kind, comps)
-        ineq = _twig_inequality(model, v, comps)
-        out.append(
-            RedundantVerdict(
-                v, verdict.kind, self_kind, case, verdict.pairing, verdict.self_int,
-                comps, ineq,
-            )
-        )
+        l_dot_r = _l_dot_R(graph, dset, v, frozenset().union(*comps))
+        case = _redundant_case(model, dset, betas, v, self_kind, comps, l_dot_r)
+        ineq = _twig_inequality(model, twigs, v, comps, l_dot_r)
+        out.append(RedundantVerdict(v, step.kind, self_kind, case, step.pairing, step.self_int,
+                                    comps, ineq))
     return out
 
 
-def _twig_inequality(
-    model: LogSurfaceModel,
-    vid: str,
-    comps: tuple[frozenset[str], ...],
-) -> Optional[tuple[Fraction, Fraction]]:
+def _twig_inequality(model: LogSurfaceModel, twigs: Sequence[tuple[str, ...]], vid: str,
+                     comps: _Comps, l_dot_r: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """Exact evaluation of the redundancy inequality
     r beta_{D-E}(l) <= 2 - k + delta - (1-r)(1 - ind^T)
     when every met component is an admissible twig of D touched once, in its
     last component.  The image is log exceptional iff lhs <= rhs, of the
-    second kind exactly at equality."""
+    second kind exactly at equality.  ``twigs`` are the maximal twigs of D,
+    and beta_{D-E}(l) = l.R - theta."""
     r = model.r
     if r is None:
         return None
     graph = model.graph
-    dset = set(model.boundary_flagged)
-    twigs = _maximal_twigs(graph, dset).values()
     delta = ZERO
     ind_t = ZERO
     for comp in comps:
@@ -445,10 +463,8 @@ def _twig_inequality(
         cd = chain_data(graph, order)
         delta += cd.delta
         ind_t += cd.transposed_inductance
-    k = len(comps)
-    e = set().union(*comps) if comps else set()
-    lhs = r * _branching_numbers(graph, dset - e)[vid]
-    rhs = 2 - k + delta - (1 - r) * (1 - ind_t)
+    lhs = r * (l_dot_r - graph.vertex(vid).decoration)
+    rhs = 2 - len(comps) + delta - (1 - r) * (1 - ind_t)
     return lhs, rhs
 
 
@@ -458,25 +474,21 @@ def almost_log_exceptional(
     """Non-boundary vertices whose peeled image is log exceptional.  A verdict
     of the second kind additionally requires nonzero intersection with K on
     the unpeeled model."""
+    kinds = _kinds(kind)
     if peeling is None:
         peeling = peel(model, kind=kind, pure=True)
-    peeled = peeling.model
+    graph = model.graph
+    dset = frozenset(model.boundary_flagged)  # D, read once for every verdict
     out = []
-    order = sorted(set(peeled.noncontracted()) - set(model.boundary_flagged))
-    for verdict in _admitted(peeled, order, _KINDS[kind], True, {}):
-        v = verdict.vertex
-        if verdict.kind == SECOND and model.k_pairing(v).numerator == 0:
+    order = sorted(set(peeling.model.noncontracted()) - dset)
+    for step, comps in _scan(model, peeling, order, kinds):
+        v = step.vertex
+        if step.kind == SECOND and model.k_pairing(v).numerator == 0:
             continue
-        comps = _met_components(model, peeling.exceptional, v)
-        case = _ale_case(model, v, comps)
-        case_half = (
-            _ale_case_half(model, peeling, v, verdict) if model.r == HALF else None
-        )
-        out.append(
-            ALEVerdict(
-                v, verdict.kind, case, case_half, verdict.pairing, verdict.self_int, comps
-            )
-        )
+        l_dot_d = _l_dot_R(graph, dset, v, frozenset())
+        case = _ale_case(model, dset, v, comps, l_dot_d)
+        half = _ale_case_half(model, dset, peeling, v, step, l_dot_d) if model.r == HALF else None
+        out.append(ALEVerdict(v, step.kind, case, half, step.pairing, step.self_int, comps))
     return out
 
 
@@ -496,17 +508,16 @@ def _chain_shape(
     return min(ws, tuple(reversed(ws)))
 
 
-def _l_dot_R(model: LogSurfaceModel, vid: str, e: frozenset[str]) -> Fraction:
-    # the integer multiplicities, then the decoration once
-    graph = model.graph
-    theta = graph.vertex(vid).decoration
-    rest = set(model.boundary_flagged) - e
-    return sum(m for w, m in graph.adjacency[vid].items() if w in rest) + theta
+def _l_dot_R(graph: DualGraph, dset: frozenset[str], vid: str, e: frozenset[str]) -> Fraction:
+    # l.R for R = D - E: the integer multiplicities, then the decoration once
+    rest = sum(m for w, m in graph.adjacency[vid].items() if w in dset and w not in e)
+    return rest + graph.vertex(vid).decoration
 
 
-def _e_dot_R(model: LogSurfaceModel, vid: str, e: frozenset[str]) -> int:
-    rest = set(model.boundary_flagged) - e - {vid}
-    return sum(model.graph.mult(u, w) for u in e for w in rest)
+def _e_dot_R(graph: DualGraph, dset: frozenset[str], vid: str, e: frozenset[str]) -> int:
+    # E.R for R = D - E - l
+    rest = dset - e - {vid}
+    return sum(m for u in e for w, m in graph.adjacency[u].items() if w in rest)
 
 
 def _is_asterisk_chain(shape: tuple[int, ...]) -> bool:
@@ -514,20 +525,13 @@ def _is_asterisk_chain(shape: tuple[int, ...]) -> bool:
     return len(shape) >= 2 and shape == (1,) + (2,) * (len(shape) - 2) + (3,)
 
 
-def _redundant_case(
-    model: LogSurfaceModel,
-    vid: str,
-    self_kind: Optional[str],
-    comps: tuple[frozenset[str], ...],
-) -> str:
+def _redundant_case(model: LogSurfaceModel, dset: frozenset[str], betas: dict[str, int], vid: str,
+                    self_kind: Optional[str], comps: _Comps, l_dot_r: Fraction) -> str:
     graph = model.graph
     r = model.r
-    dset = set(model.boundary_flagged)
-    e = set().union(*comps) if comps else set()
+    e = frozenset().union(*comps)
     shape = _chain_shape(model, vid, comps)
-    l_dot_r = _l_dot_R(model, vid, frozenset(e))
-    e_dot_r = _e_dot_R(model, vid, frozenset(e))
-    betas = _branching_numbers(graph, dset)
+    e_dot_r = _e_dot_R(graph, dset, vid, e)
     beta = betas[vid] + graph.vertex(vid).decoration
     if r == 1:
         return "(1)"
@@ -566,18 +570,13 @@ def _redundant_case(
     return "(unlisted)"
 
 
-def _ale_case(
-    model: LogSurfaceModel,
-    vid: str,
-    comps: tuple[frozenset[str], ...],
-) -> str:
+def _ale_case(model: LogSurfaceModel, dset: frozenset[str], vid: str, comps: _Comps,
+              l_dot_d: Fraction) -> str:
     graph = model.graph
     r = model.r
-    dset = set(model.boundary_flagged)
-    e = set().union(*comps) if comps else set()
+    e = frozenset().union(*comps)
     shape = _chain_shape(model, vid, comps)
-    l_dot_d = _l_dot_R(model, vid, frozenset())
-    e_dot_r = _e_dot_R(model, vid, frozenset(e))
+    e_dot_r = _e_dot_R(graph, dset, vid, e)
     self_kind = curve_verdict(model, vid).kind
     # r-specific families first; the generic superfluous / log exceptional
     # cases overlap them at interval endpoints
@@ -615,11 +614,11 @@ def _ale_case(
         if e_dot_r == 1:
             rod2 = next((c for c in comps if len(c) == 1 and
                          graph.vertex(next(iter(c))).weight == 2), None)
-            if rod2 is not None and _e_dot_R(model, vid, frozenset(rod2)) == 1:
+            if rod2 is not None and _e_dot_R(graph, dset, vid, rod2) == 1:
                 return "(9)"
             if r == HALF:
                 long = next(c for c in comps if c is not rod2)
-                if len(long) == 1 or _far_end_touches_R(model, vid, long):
+                if len(long) == 1 or _far_end_touches_R(graph, dset, vid, long):
                     return "(10)"
     if shape == (2, 2, 1, 4) and e_dot_r == 0 and l_dot_d == 3 and r == HALF:
         return "(11)"
@@ -652,32 +651,24 @@ def _ale_case(
     return "(unlisted)"
 
 
-def _far_end_touches_R(model: LogSurfaceModel, vid: str, comp: frozenset[str]) -> bool:
+def _far_end_touches_R(graph: DualGraph, dset: frozenset[str], vid: str,
+                       comp: frozenset[str]) -> bool:
     """Does D - E meet the component at its end away from the (-1)-curve?"""
-    graph = model.graph
-    rest = set(model.boundary_flagged) - comp - {vid}
+    rest = dset - comp - {vid}
     near = [u for u in comp if graph.mult(vid, u) > 0]
-    far_contacts = [
-        u for u in comp if any(graph.mult(u, w) > 0 for w in rest)
-    ]
+    far_contacts = [u for u in comp if any(graph.mult(u, w) > 0 for w in rest)]
     return bool(far_contacts) and far_contacts != near
 
 
-def _ale_case_half(
-    model: LogSurfaceModel,
-    peeling: PeelingData,
-    vid: str,
-    verdict: Step,
-) -> Optional[str]:
+def _ale_case_half(model: LogSurfaceModel, dset: frozenset[str], peeling: PeelingData, vid: str,
+                   verdict: Step, a_dot_d: Fraction) -> Optional[str]:
     """Case tags of the almost log exceptional curve list at r = 1/2."""
     graph = model.graph
-    dset = set(model.boundary_flagged)
     e = peeling.exceptional
-    a_dot_d = _l_dot_R(model, vid, frozenset())
     a_dot_e = sum(graph.mult(vid, w) for w in e)
-    gamma = set().union(*peeling.gamma) if peeling.gamma else set()
-    lam = set().union(*peeling.lambda_) if peeling.lambda_ else set()
-    delta = set().union(*peeling.delta) if peeling.delta else set()
+    gamma = set().union(*peeling.gamma)
+    lam = set().union(*peeling.lambda_)
+    delta = set().union(*peeling.delta)
 
     def rod_end(u: str, groups: tuple[frozenset[str], ...]) -> bool:
         comp = next((c for c in groups if u in c), None)
@@ -695,15 +686,12 @@ def _ale_case_half(
         if a_dot_d == 2 and a_dot_e == 0:
             return "(4)"
         if a_dot_d == 3 and a_dot_e == 1:
-            touched = [u for u in e if graph.mult(vid, u) > 0]
-            if len(touched) == 1 and touched[0] in gamma and rod_end(touched[0], peeling.gamma):
-                comp = next(c for c in peeling.gamma if touched[0] in c)
-                # a rod: a whole component of D that is a chain, so no curve
-                # of it meets D outside it
-                beta_d = _branching_numbers(graph, dset)
-                whole = sum(beta_d[v] for v in comp) == sum(_branching_numbers(graph, comp).values())
-                if whole and _chain_order(graph, comp) is not None:
-                    return "(5)"
+            (u,) = [u for u in e if graph.mult(vid, u) > 0]  # met once
+            # at an end of a rod: a part of Gamma, so a whole component of D
+            # (_classify_peeled), that is a chain
+            comp = next((c for c in peeling.gamma if u in c), None)
+            if rod_end(u, peeling.gamma) and _chain_order(graph, comp) is not None:
+                return "(5)"
         return None
     if a_dot_d <= 1:
         return "(1)"
@@ -713,9 +701,7 @@ def _ale_case_half(
         t_e = [u for u in touched if u in e]
         if len(t_r) == 1 and len(t_e) == 1:
             (u,) = t_e
-            if u in delta or (u in gamma and rod_end(u, peeling.gamma)):
-                return "(2a)"
-            if u in lam and rod_end(u, peeling.lambda_):
+            if u in delta or rod_end(u, peeling.gamma) or rod_end(u, peeling.lambda_):
                 return "(2a)"
             if lam_middle_223(u):
                 return "(2b)"
@@ -789,7 +775,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     sigma by ``_kept``: the K-pairing of a curve changes only when the curve
     meets a component that holds a curve sigma contracted.
     """
-    kinds = _KINDS[kind]
+    kinds = _kinds(kind)
     steps: list[Step] = []
     models = [model]
     ladder: list[LadderRung] = []

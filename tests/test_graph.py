@@ -23,8 +23,10 @@ from logsurf import (
     Vertex,
     blow_up,
     branching_number,
+    coefficient_divisor_uniform,
     contracts_to_smooth_point,
     discriminant,
+    eps_check,
     find_shapes,
     is_negative_definite,
 )
@@ -132,6 +134,31 @@ def test_rational_fields_take_int_or_fraction():
     # 0.1 would have been 3602879701896397/36028797018963968
     with pytest.raises(ValidationError, match="boundary must be an integer or a Fraction"):
         Vertex("a", 2, boundary=0.1)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, True, "1/2"], ids=["float", "half-float", "bool", "str"])
+def test_rationals_outside_the_vertex_are_not_coerced(value):
+    # the uniform r, eps and the r of the closed form take the checks of a
+    # vertex's rationals: 0.1 would be 3602879701896397/36028797018963968
+    m = model(chain_graph(2, 3, boundary=(0, 1)), r=F(1, 2))
+    calls = {
+        "model: uniform_r": lambda: LogSurfaceModel(m.graph, frozenset(), value),
+        "eps_check: eps": lambda: eps_check(m, value),
+        "coefficient_divisor_uniform: r": lambda: coefficient_divisor_uniform(m, ["v0", "v1"], value),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == f"{name} must be an integer or a Fraction, got {value!r}"
+
+
+def test_eps_outside_the_unit_interval_is_refused():
+    m = model(chain_graph(2, 3, boundary=(0, 1)), r=F(1, 2))
+    for eps, shown in ((2, "2"), (F(-1, 2), "-1/2"), (F(3, 2), "3/2")):
+        with pytest.raises(CoeffOutOfRange) as err:
+            eps_check(m, eps)
+        assert str(err.value) == f"eps {shown} not in [0,1]"
+    assert [eps_check(m, eps).eps for eps in (0, 1, F(1, 3))] == [0, 1, F(1, 3)]
 
 
 def test_contracted_must_be_negative_definite():
@@ -473,6 +500,14 @@ def test_blow_up_edge():
     assert g2.vertex("e").weight == 1
     assert g2.mult("v0", "v1") == 0
     assert g2.mult("v0", "e") == 1 and g2.mult("v1", "e") == 1
+
+
+def test_mult_reads_the_adjacency():
+    g = DualGraph((Vertex("a", 2), Vertex("b", 3), Vertex("c", 1)), (Edge("b", "a", 2),))
+    assert [g.mult(*pair) for pair in ("ab", "ba", "ac", "aa", "bb")] == [2, 2, 0, -2, -3]
+    # a pair that is not an edge reads 0, also where an id is unknown
+    assert g.mult("a", "zz") == 0 and g.mult("zz", "a") == 0
+    assert all(g.mult(u, v) == g.adjacency[u].get(v, 0) for u in g.ids for v in g.ids if u != v)
 
 
 def test_blow_up_free_point():

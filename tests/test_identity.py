@@ -36,8 +36,16 @@ curves), on 300 seeded log smooth trees of 6-16 curves with r = 1/3, 1/2,
 2/3 and 1 in turn, about a third of them with a negative definite set
 already contracted.  Steps are hashed with their kind and both numbers.
 
-The fourth and fifth digests are computed once more in a subprocess under
-another hash seed: no answer may follow the iteration order of a set.
+A sixth digest pins the verdict layer off trees: ``redundant`` and
+``almost_log_exceptional`` (every field) for both kinds, on 300 seeded graphs
+of 4-14 curves, trees with one or two more edges (so cycles and double
+contacts), a few curves decorated, with r = 1/3, 1/2, 2/3 and 1 in turn and
+about a third of them with a negative definite set already contracted.  The
+draws reach at least five ``redundant`` case tags, four
+``almost_log_exceptional`` tags and three r = 1/2 tags.
+
+The fourth, fifth and sixth digests are computed once more in a subprocess
+under another hash seed: no answer may follow the iteration order of a set.
 """
 
 import hashlib
@@ -51,8 +59,8 @@ from pathlib import Path
 
 from logsurf import (
     DualGraph, Edge, GermGraph, LogSurfaceModel, LogSurfError, Vertex, almost_minimalize, bark_D,
-    classify_germ, coefficient_divisor_uniform, enumerate_runs, is_negative_definite, peel, redundant,
-    relative_k_mmp, run_mmp,
+    almost_log_exceptional, classify_germ, coefficient_divisor_uniform, enumerate_runs,
+    is_negative_definite, peel, redundant, relative_k_mmp, run_mmp,
 )
 from logsurf.cli import COMMANDS, main
 from logsurf.invariants import classify_peelable
@@ -68,6 +76,7 @@ DIGESTS = {
     "shapes": "aa084be15cf7a188dca8133d922abfbc8befa6e38f43442fb14c76e522e82250",
     "redundant": "0d34a493552da37e7a5a02cb93b09de77421067eb6a830acac445c48c9b503bc",
     "runs": "b000a5192bd178e67aa5fd9c07679f8b8a2298ade5bc821d32e09305a65b77eb",
+    "verdicts": "9dd5996fbcf0ee6932da4ba2ba40d96c802c39db9b0ffc2edac766c6fadcd57a",
 }
 
 
@@ -369,12 +378,66 @@ def test_run_answers_are_identical():
     assert h.hexdigest() == DIGESTS["runs"]
 
 
+# -- verdict answers off trees ------------------------------------------------------
+
+
+def _loop_draw(rng, r):
+    """A graph of 4-14 curves of weights 1-4: a tree with one or two more
+    edges, each curve decorated with probability 0.1 and on the boundary
+    with probability 0.7, with nothing contracted or, one time in three, a
+    negative definite set of its curves of weight 2-4."""
+    n = rng.randint(4, 14)
+    vs = tuple(Vertex(f"w{i:02d}", rng.choice((1, 1, 2, 2, 3, 4)), decoration=F(int(rng.random() < 0.1)),
+                      boundary=F(int(rng.random() < 0.7))) for i in range(n))
+    mult = {(rng.randrange(i), i): 1 for i in range(1, n)}
+    for _ in range(rng.choice((1, 1, 2))):
+        a, b = sorted(rng.sample(range(n), 2))
+        mult[(a, b)] = mult.get((a, b), 0) + 1
+    g = DualGraph(vs, tuple(Edge(f"w{a:02d}", f"w{b:02d}", m) for (a, b), m in mult.items()))
+    start = frozenset()
+    if rng.random() < 0.35:
+        start = frozenset(v.id for v in vs if v.weight >= 2 and rng.random() < 0.4)
+        if not is_negative_definite(g, start):
+            start = frozenset()
+    return LogSurfaceModel(g, start, r)
+
+
+def _comps(v):
+    return [sorted(c) for c in v.components]
+
+
+def test_verdict_answers_off_trees_are_identical():
+    rng = random.Random(21)
+    h = hashlib.sha256()
+    cases, ale_cases, half_cases = Counter(), Counter(), Counter()
+    for i in range(300):
+        r = (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4]
+        model = _loop_draw(rng, r)
+        answers = []
+        for kind in ("first", "second"):
+            peeling = peel(model, kind=kind, pure=True)
+            red = _answer(lambda: redundant(model, peeling, kind=kind),
+                          lambda vs: [(v.vertex, v.kind, v.self_kind, v.case, v.pairing, v.self_int,
+                                       _comps(v), v.inequality) for v in vs])
+            ale = _answer(lambda: almost_log_exceptional(model, peeling, kind=kind),
+                          lambda vs: [(v.vertex, v.kind, v.case, v.case_half, v.pairing, v.self_int,
+                                       _comps(v)) for v in vs])
+            cases.update(v[3] for v in red)
+            ale_cases.update(v[2] for v in ale)
+            half_cases.update(v[3] for v in ale if v[3] is not None)
+            answers.append((red, ale))
+        h.update(repr(answers).encode() + b"\0")
+    assert len(cases) >= 5 and len(ale_cases) >= 4 and len(half_cases) >= 3, (cases, ale_cases, half_cases)
+    assert h.hexdigest() == DIGESTS["verdicts"]
+
+
 def test_run_and_redundancy_digests_do_not_depend_on_the_hash_seed():
     here = Path(__file__).resolve().parent
     script = (
         "import test_identity as t\n"
         "t.test_redundancy_and_uniform_coefficient_answers_are_identical()\n"
         "t.test_run_answers_are_identical()\n"
+        "t.test_verdict_answers_off_trees_are_identical()\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from logsurf import (
+    CoeffOutOfRange,
     DualGraph,
     Edge,
     GermGraph,
@@ -452,10 +453,16 @@ def test_integer_comparisons_equal_the_fraction_comparisons():
         values = [*m.coefficients.values(), *(m.coeff(b) for b in m.boundary_support)]
         for eps in {F(0), F(1, 10), *(1 - c for c in values if c <= 1)}:
             value, witness, is_lc, is_dlt = _fraction_verdict(m, eps)
-            tc, v = total_coefficient(m), eps_check(m, eps)
+            tc = total_coefficient(m)
             assert (tc.value, tc.witness) == (value, witness), (i, eps)
-            assert (v.tcf, v.is_lc, v.is_dlt) == (value, is_lc, is_dlt), (i, eps)
             assert type(tc.value) is F
+            if eps > 1:  # 1 - c for a negative coefficient c: eps_check refuses it
+                with pytest.raises(CoeffOutOfRange):
+                    eps_check(m, eps)
+                seen["eps above 1"] += 1
+            else:
+                v = eps_check(m, eps)
+                assert (v.tcf, v.is_lc, v.is_dlt) == (value, is_lc, is_dlt), (i, eps)
             seen["no entries"] += witness == ""
             seen["tie"] += values.count(value) >= 2
             seen["tcf at the bound"] += value == 1 - eps

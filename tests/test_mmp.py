@@ -9,6 +9,7 @@ from logsurf import (
     DualGraph,
     Edge,
     LogSurfaceModel,
+    NotApplicable,
     TooLarge,
     UnknownVertex,
     Vertex,
@@ -981,3 +982,59 @@ def test_amm_first_rung_is_the_maximal_pure_peeling(kind):
     for m in _seeded_trees(8383):
         d = almost_minimalize(m, kind=kind)
         assert d.ladder[0].peeling_exc == peel(m, kind=kind, pure=True).exceptional
+
+
+_KIND_CALLS = {
+    "run_mmp": lambda m, kind: run_mmp(m, kind=kind),
+    "relative_mmp": lambda m, kind: relative_mmp(m, ["v0"], kind=kind),
+    "is_partial_mmp_run": lambda m, kind: is_partial_mmp_run(m, ["v0"], kind=kind),
+    "enumerate_runs": lambda m, kind: enumerate_runs(m, kind=kind),
+    "peel": lambda m, kind: peel(m, kind=kind),
+    "squeeze": lambda m, kind: squeeze(m, kind=kind),
+    "redundant": lambda m, kind: redundant(m, peel(m), kind=kind),
+    "almost_log_exceptional": lambda m, kind: almost_log_exceptional(m, peel(m), kind=kind),
+    "almost_minimalize": lambda m, kind: almost_minimalize(m, kind=kind),
+}
+
+
+@pytest.mark.parametrize("kind", ["third", None, ["first"]], ids=["third", "none", "list"])
+@pytest.mark.parametrize("call", _KIND_CALLS.values(), ids=_KIND_CALLS.keys())
+def test_unknown_kind_is_refused(call, kind):
+    # the peeling is passed in, so the lists refuse the kind themselves
+    m = model(chain_graph(1, 2, 3, boundary=(0, 1)), r=F(1, 2))
+    with pytest.raises(NotApplicable) as err:
+        call(m, kind)
+    assert str(err.value) == f"unknown kind {kind!r}"
+
+
+def test_each_verdict_scan_reads_each_fact_once(monkeypatch):
+    # three redundant and three almost log exceptional curves at r = 1/2
+    weights = {"a": 1, "b": 1, "c": 1, "d": 3, "e": 1, "f": 1, "g": 2, "h": 1}
+    flagged, decorated = {"c", "f", "g", "h"}, {"d", "e"}
+    g = DualGraph(
+        tuple(Vertex(v, w, decoration=F(v in decorated), boundary=F(v in flagged))
+              for v, w in weights.items()),
+        tuple(Edge(*pair) for pair in ("ab", "ac", "ad", "be", "af", "eg", "fh", "ag")),
+    )
+    m = model(g, r=F(1, 2))
+    peeling = peel(m, kind="second")
+    assert peeling.exceptional == {"g"}
+    reads = Counter()
+
+    def counted(name, real, fact):
+        def read(*args):
+            reads[name] += fact(*args)
+            return real(*args)
+        return read
+
+    dset = set(m.boundary_flagged)
+    monkeypatch.setattr(mmp, "_branching_numbers",
+                        counted("beta_D", mmp._branching_numbers, lambda graph, D: set(D) == dset))
+    monkeypatch.setattr(mmp, "_maximal_twigs", counted("twigs", mmp._maximal_twigs, lambda graph, D: True))
+    monkeypatch.setattr(DualGraph, "connected_components",
+                        counted("Exc", DualGraph.connected_components,
+                                lambda graph, within: set(within) == peeling.exceptional))
+    for scan, count in ((redundant, 3), (almost_log_exceptional, 3)):
+        reads.clear()
+        assert len(scan(m, peeling, kind="second")) == count
+        assert max(reads.values()) <= 1 and reads["Exc"] == 1, (scan.__name__, reads)
