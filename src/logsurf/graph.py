@@ -32,12 +32,20 @@ coefficients and the K-correction of a component depend on the component
 All models of one graph share one table of answers on the ``DualGraph``
 (``_memo``), keyed by that local state, so a question is computed once
 however many models of the graph ask it.  The table lives and dies with its
-graph; nothing is shared between graphs.  The component partition of a
-contracted set, with each component's factor, is kept once per graph too,
-and the model on that set reads its solves and its keys off it.  One
-builder makes it, ``DualGraph._partition``: ``DualGraph.blocks`` has nothing
-to keep, ``LogSurfaceModel.contract`` keeps the parent's components that the
-new curves miss and factors only the rest.
+graph; nothing is shared between graphs.  The run layer keeps its step
+answer there too, one ``("step", ...)`` entry per curve and local state
+(``mmp._step``).  The component partition of a contracted set, with each
+component's factor, is kept once per graph too, and the model on that set
+reads its solves and its keys off it.  One builder makes it,
+``DualGraph._partition``: ``DualGraph.blocks`` has nothing to keep,
+``LogSurfaceModel.contract`` keeps the parent's components that the new
+curves miss and factors only the rest.
+
+A model derives the rest of its local state from its parent as well:
+``contract`` copies the parent's component map (curve to contracted
+component) and points only the members of the new components at them, and
+each model builds the set of components a curve meets (``_met``, the local
+state in every key) once per curve.
 """
 
 from __future__ import annotations
@@ -730,10 +738,18 @@ class LogSurfaceModel:
                              lambda: graph._partition(contracted, self._blocks, vids))
         if blocks is None:
             raise NotNegativeDefinite(f"contracted set {sorted(contracted)} is not negative definite")
+        # the parent's component map, with the members of each new component
+        # (a merge of old ones and the new curves) pointed at it
+        comp_of = self._component_of.copy()
+        old = self._blocks
+        for comp in blocks:
+            if comp not in old:
+                comp_of.update(dict.fromkeys(comp, comp))
         child = object.__new__(LogSurfaceModel)
         child.__dict__.update(
             graph=graph, contracted=contracted, uniform_r=self.uniform_r,
-            _r_key=self._r_key, _blocks=blocks,
+            _r_key=self._r_key, _coeffs=self._coeffs, _blocks=blocks, _component_of=comp_of,
+            _mets={},
         )
         return child
 
@@ -743,10 +759,19 @@ class LogSurfaceModel:
     def _component_of(self) -> dict[str, frozenset[str]]:
         return {v: comp for comp in self._blocks for v in comp}
 
+    @cached_property
+    def _mets(self) -> dict[str, frozenset[frozenset[str]]]:
+        return {}
+
     def _met(self, vid: str) -> frozenset[frozenset[str]]:
-        """The contracted components that the curve ``vid`` meets."""
-        comp_of = self._component_of
-        return frozenset(comp_of[w] for w in self.graph.adjacency[vid] if w in comp_of)
+        """The contracted components that the curve ``vid`` meets, built once
+        per curve on this model: it is the local state in every key below."""
+        met = self._mets.get(vid)
+        if met is None:
+            comp_of = self._component_of
+            met = self._mets[vid] = frozenset(
+                comp_of[w] for w in self.graph.adjacency[vid] if w in comp_of)
+        return met
 
     def _component_pullback(self, vid: str, comp: frozenset[str]) -> Answer:
         """The pullback correction of the curve ``vid`` on one contracted
@@ -795,19 +820,22 @@ class LogSurfaceModel:
 
     def self_int(self, vid: str) -> Fraction:
         """image(v)^2 on the contracted model."""
-        graph = self.graph
-        v = graph.vertex(vid)
+        self.graph.vertex(vid)
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted; pull back its image instead")
-        met = self._met(vid)
+        return self._self_int(vid, self._met(vid))
+
+    def _self_int(self, vid: str, met: frozenset[frozenset[str]]) -> Fraction:
+        """``self_int`` of a known curve outside the contracted set that
+        meets the components ``met``."""
 
         def square() -> Fraction:
             # -w + c.x, c the contact vector of v and x its pullback
             # correction, solved once on each met component
             corrections = {comp: self._component_pullback(vid, comp) for comp in met}
-            return self._pair(vid, -v.weight, 1, corrections.__getitem__)
+            return self._pair(vid, -self.graph.by_id[vid].weight, 1, corrections.__getitem__)
 
-        return graph._memo(("self_int", vid, met), square)
+        return self.graph._memo(("self_int", vid, met), square)
 
     def _component_k_correction(self, comp: frozenset[str]) -> Answer:
         # pullback of the image of K on one component: K + sum u_i E_i with
@@ -828,10 +856,15 @@ class LogSurfaceModel:
         contracted neighbour w, u the K-correction of its component."""
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
+        self.graph.vertex(vid)
+        return self._k_pairing(vid, self._met(vid))
+
+    def _k_pairing(self, vid: str, met: frozenset[frozenset[str]]) -> Fraction:
+        """``k_pairing`` of a known curve outside the contracted set that
+        meets the components ``met``."""
         graph = self.graph
-        graph.vertex(vid)
         return graph._memo(
-            ("k_pairing", vid, self._met(vid)),
+            ("k_pairing", vid, met),
             lambda: self._pair(vid, graph.k_dot(vid), 1, self._component_k_correction),
         )
 
@@ -881,13 +914,19 @@ class LogSurfaceModel:
         reduced boundary contact."""
         if vid in self.contracted:
             raise UnknownVertex(f"{vid!r} is contracted")
+        self.graph.vertex(vid)
+        return self._lk_pairing(vid, self._met(vid))
+
+    def _lk_pairing(self, vid: str, met: frozenset[frozenset[str]]) -> Fraction:
+        """``lk_pairing`` of a known curve outside the contracted set that
+        meets the components ``met``."""
         graph = self.graph
-        v = graph.vertex(vid)
 
         def pairing() -> Fraction:
             # K.v + theta_v + D.v: the coefficient of v and of each neighbour
             # outside the contracted set, then cf of each contracted neighbour
             coeffs, contracted = self._coeffs, self.contracted
+            v = graph.by_id[vid]
             theta = v.decoration
             q = theta.denominator
             num, den = graph.k_dot(vid) * q + theta.numerator, q
@@ -897,4 +936,4 @@ class LogSurfaceModel:
                     num, den = _add(num, den, m * c.numerator, c.denominator)
             return self._pair(vid, num, den, self._component_coefficients)
 
-        return graph._memo(("lk_pairing", vid, self._met(vid), self._r_key), pairing)
+        return graph._memo(("lk_pairing", vid, met, self._r_key), pairing)

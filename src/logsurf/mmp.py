@@ -11,11 +11,13 @@ verdict lists, ``redundant`` and ``almost_log_exceptional``, step through one
 verdict scan on the peeled model, ``_scan``, and read D once per scan.  An
 answer about a curve depends only on the curve and on the contracted
 components it meets (and r), so a transition keeps every answer but those of
-the curves that meet a grown component (``_kept``).  The ladder of
-``almost_minimalize`` is one such chain too: its peelings and picks share
-their step answers from rung to rung, its K-signs are kept through each
-squeeze by the same rule, and each rung's verdict is kept in the graph's
-table.
+the curves that meet a grown component (``_kept``), and ``_step`` keeps its
+answer in the graph's table under that local state: a run of either kind, a
+search or a later call on the same graph reads what another asked.  The
+ladder of ``almost_minimalize`` is one such chain too: its peelings and
+picks share their step answers from rung to rung, its K-signs and the
+K-step answers of its squeezes are kept from rung to rung by the same rule,
+and each rung's verdict is kept in the graph's table.
 """
 
 from __future__ import annotations
@@ -123,15 +125,27 @@ def _step(
 ) -> Optional[Step]:
     """The contraction of ``vid`` when its image is log exceptional (for K + D,
     or for K alone without the boundary) of one of ``kinds``, else None.  The
-    pairing is tested first, so the self-intersection is asked only of curves
-    of an admitted kind.  Each sign test reads the answer's numerator."""
-    p = model.lk_pairing(vid) if use_boundary else model.k_pairing(vid)
+    answer of either kind depends only on the curve, the components it meets
+    and, with the boundary, r: it is one entry of the graph's table, which
+    every run of either kind and every model of the graph reads."""
+    met = model._met(vid)
+    key = ("step", vid, met, model._r_key if use_boundary else None, use_boundary)
+    step = model.graph._memo(key, lambda: _log_exceptional(model, vid, met, use_boundary))
+    return step if step is not None and step.kind in kinds else None
+
+
+def _log_exceptional(model: LogSurfaceModel, vid: str, met: frozenset[frozenset[str]],
+                     use_boundary: bool) -> Optional[Step]:
+    """The contraction of ``vid``, which meets the components ``met``, when
+    its image is log exceptional of either kind, else None.  The pairing is
+    tested first, so the self-intersection is asked only of curves of a log
+    exceptional kind.  Each sign test reads the answer's numerator."""
+    p = model._lk_pairing(vid, met) if use_boundary else model._k_pairing(vid, met)
     n = p.numerator
-    kind = FIRST if n < 0 else SECOND if n == 0 else None
-    if kind not in kinds:
+    if n > 0:
         return None
-    s = model.self_int(vid)
-    return Step(vid, kind, p, s) if s.numerator < 0 else None
+    s = model._self_int(vid, met)
+    return Step(vid, FIRST if n < 0 else SECOND, p, s) if s.numerator < 0 else None
 
 
 def _admitted(model: LogSurfaceModel, order: Iterable[str], kinds: Sequence[str],
@@ -156,7 +170,11 @@ def _kept(model: LogSurfaceModel, grown: frozenset[str], answers: dict[str, _A])
     on the contracted components it meets (and r): it is kept unless the
     curve meets one of ``grown``."""
     adjacency = model.graph.adjacency
-    return {v: a for v, a in answers.items() if grown.isdisjoint(adjacency[v])}
+    kept = answers.copy()
+    for u in grown:
+        for w in adjacency[u]:
+            kept.pop(w, None)
+    return kept
 
 
 def _contract(model: LogSurfaceModel, step: Step,
@@ -414,13 +432,23 @@ def _scan(model: LogSurfaceModel, peeling: PeelingData, order: Iterable[str],
         yield step, tuple(c for c in comps if not c.isdisjoint(near))
 
 
+def _peeling_of(model: LogSurfaceModel, peeling: Optional[PeelingData], kind: str) -> PeelingData:
+    """``peeling`` when it starts from ``model`` (its graph, boundary flags,
+    contracted set and r), NotApplicable otherwise; the maximal pure peeling
+    of ``kind`` when it is None."""
+    if peeling is None:
+        return peel(model, kind=kind, pure=True)
+    if peeling.run.start != model:
+        raise NotApplicable("the peeling does not start from this model")
+    return peeling
+
+
 def redundant(
     model: LogSurfaceModel, peeling: Optional[PeelingData] = None, kind: str = SECOND
 ) -> list[RedundantVerdict]:
     """Boundary components with l.K < 0 whose peeled image is log exceptional."""
     kinds = _kinds(kind)
-    if peeling is None:
-        peeling = peel(model, kind=kind, pure=True)
+    peeling = _peeling_of(model, peeling, kind)
     graph = model.graph
     # D, beta_D and the maximal twigs of D, read once for every verdict
     dset = frozenset(model.boundary_flagged)
@@ -475,8 +503,7 @@ def almost_log_exceptional(
     of the second kind additionally requires nonzero intersection with K on
     the unpeeled model."""
     kinds = _kinds(kind)
-    if peeling is None:
-        peeling = peel(model, kind=kind, pure=True)
+    peeling = _peeling_of(model, peeling, kind)
     graph = model.graph
     dset = frozenset(model.boundary_flagged)  # D, read once for every verdict
     out = []
@@ -765,12 +792,15 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     residual peeling to a maximal pure one.  When no such curve remains, the
     running model is almost minimal and alpha lands on a minimal model.
 
-    The ladder is one incremental chain, and two sets of answers carry from
-    rung to rung.  The squeeze sigma contracts only curves of alpha + l, so
-    the peeled model of the next rung, the running model with the residual
-    peeling contracted, is the peeled model with l contracted: the peelings
-    and the picks step along one chain of ``_contract`` transitions and
-    share its ``_step`` answers.  The K-signs of the running model, which
+    The ladder is one incremental chain, and three sets of answers carry
+    from rung to rung.  The squeeze sigma contracts only curves of alpha +
+    l, so the peeled model of the next rung, the running model with the
+    residual peeling contracted, is the peeled model with l contracted: the
+    peelings and the picks step along one chain of ``_contract`` transitions
+    and share its ``_step`` answers.  Each sigma starts from the model the
+    last one ended on, so sigma is the K-MMP of ``relative_k_mmp`` run on
+    the K-step answers the last sigma left (``_greedy`` returns them), each
+    target checked by ``_target``.  The K-signs of the running model, which
     decide purity, the pick order and the K-trivial sweep, are kept through
     sigma by ``_kept``: the K-pairing of a curve changes only when the curve
     meets a component that holds a curve sigma contracted.
@@ -783,6 +813,7 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     cur = peeled = model  # the running model, and it with alpha contracted
     answers: _Answers = {}  # the _step answers that hold on peeled
     signs: dict[str, int] = {}  # the numerator of K.v on cur
+    k_answers: _Answers = {}  # the K-step answers of sigma that hold on cur
 
     def k_sign(v: str) -> int:
         # asked of the running model once, then read from the kept signs
@@ -804,7 +835,8 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
             break
         # contracted first, so the target check of sigma finds its set
         peeled, answers = _contract(peeled, pick, answers)
-        sigma = relative_k_mmp(cur, alpha | {pick.vertex})
+        target = _target(cur, alpha | {pick.vertex})
+        sigma, k_answers = _greedy(cur, sorted(target), (FIRST,), False, k_answers)
         steps += sigma.steps
         models += sigma.models[1:]
         cur = sigma.final

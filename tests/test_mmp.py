@@ -10,6 +10,7 @@ from logsurf import (
     Edge,
     LogSurfaceModel,
     NotApplicable,
+    NotNegativeDefinite,
     TooLarge,
     UnknownVertex,
     Vertex,
@@ -34,7 +35,7 @@ from logsurf.mmp import Step, _chain_shape, _step, curve_verdict, log_exceptiona
 
 from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
 from oracles import ale_characterization, is_log_smooth_output, k_correction, peeling_from, verify_run
-from test_identity import _run_draw
+from test_identity import _loop_draw, _run_draw
 
 
 def with_r(m, r):
@@ -610,11 +611,9 @@ def test_amm_kind_second_extends_first():
     assert d1.am.exceptional <= d2.am.exceptional | d2.min_exceptional | d2.am.exceptional
 
 
-def test_almost_minimalize_carries_its_answers_from_rung_to_rung(monkeypatch):
-    # the peelings and picks of all rungs step along one chain and share its
-    # step answers, the K-signs of the running model are kept through each
-    # squeeze, and no model is built through the constructor; starting every
-    # rung from nothing took 425 steps, 463 K-pairings and 95 models here
+def _count_inside_almost_minimalize(monkeypatch, models):
+    """The ``_step`` calls, the K-pairing questions and the constructor
+    builds inside ``almost_minimalize`` of both kinds on each of ``models``."""
     calls = Counter()
     inside = [False]
 
@@ -625,18 +624,112 @@ def test_almost_minimalize_carries_its_answers_from_rung_to_rung(monkeypatch):
         return counted
 
     monkeypatch.setattr(mmp, "_step", counting("_step", _step))
-    monkeypatch.setattr(LogSurfaceModel, "k_pairing",
-                        counting("k_pairing", LogSurfaceModel.k_pairing))
+    monkeypatch.setattr(LogSurfaceModel, "_k_pairing",
+                        counting("k_pairing", LogSurfaceModel._k_pairing))
     monkeypatch.setattr(LogSurfaceModel, "__post_init__",
                         counting("built", LogSurfaceModel.__post_init__))
+    for m in models:
+        for kind in ("first", "second"):
+            inside[0] = True
+            almost_minimalize(m, kind)
+            inside[0] = False
+    return calls
+
+
+def test_almost_minimalize_carries_its_answers_from_rung_to_rung(monkeypatch):
+    # the peelings and picks of all rungs step along one chain and share its
+    # step answers, the K-signs and the K-step answers of the squeeze are
+    # kept from rung to rung, and no model is built through the constructor;
+    # starting every rung from nothing took 425 steps, 463 K-pairings and 95
+    # models here, and a squeeze from empty answers 325 K-pairings
+    models = [LogSurfaceModel(fx.model.graph, fx.model.contracted, r)
+              for fx in fixture_corpus() for r in (fx.model.uniform_r, F(1, 2))]
+    calls = _count_inside_almost_minimalize(monkeypatch, models)
+    assert calls["built"] == 0 and calls["_step"] <= 411 and calls["k_pairing"] <= 266, calls
+
+
+def test_almost_minimalize_asks_each_step_once_per_local_state(monkeypatch):
+    # on the first 100 draws of the runs digest; a squeeze from empty answers
+    # and a step asked again for each kind took 5755 steps and 4649 K-pairings
+    rng = random.Random(18)
+    models = [_run_draw(rng, (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4])[0] for i in range(100)]
+    calls = _count_inside_almost_minimalize(monkeypatch, models)
+    assert calls["built"] == 0 and calls["_step"] <= 5093 and calls["k_pairing"] <= 3370, calls
+
+
+def _direct_step(model, vid, use_boundary):
+    """The step of ``vid`` on ``model`` from its pairings, asked directly."""
+    p = model.lk_pairing(vid) if use_boundary else model.k_pairing(vid)
+    s = model.self_int(vid)
+    if p > 0 or s >= 0:
+        return None
+    return Step(vid, "first" if p < 0 else "second", p, s)
+
+
+def test_every_step_entry_and_derived_model_matches_a_fresh_model(monkeypatch):
+    # every model a run, search, squeeze, ladder or verdict scan reaches
+    # through contract derives its component map from its parent's: it must
+    # equal the map (and the met sets) of the model the constructor builds on
+    # the same set of a copy of the graph; every step entry of the graph's
+    # table must equal the step asked directly on a copy, of a model that
+    # contracts exactly the components in its key
+    reached = []
+    contract = LogSurfaceModel.contract
+
+    def recorded(self, *vids):
+        child = contract(self, *vids)
+        grown = child._component_of[vids[0]]
+        merged = sum(comp <= grown for comp in self._blocks)
+        reached.append((child, merged))
+        return child
+
+    monkeypatch.setattr(LogSurfaceModel, "contract", recorded)
+    starts = []
+    rng = random.Random(18)  # the draws of the runs digest
+    for i in range(300):
+        starts.append(_run_draw(rng, (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4]))
+    rng = random.Random(21)  # the draws of the verdicts digest: cycles, double contacts, decorations
+    for i in range(100):
+        m = _loop_draw(rng, (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4])
+        starts.append((m, sorted(m.noncontracted())[:3]))
     for fx in fixture_corpus():
         for r in (fx.model.uniform_r, F(1, 2)):
-            m = LogSurfaceModel(fx.model.graph, fx.model.contracted, r)
-            for kind in ("first", "second"):
-                inside[0] = True
-                almost_minimalize(m, kind)
-                inside[0] = False
-    assert calls["built"] == 0 and calls["_step"] <= 411 and calls["k_pairing"] <= 325, calls
+            starts.append((LogSurfaceModel(fx.model.graph, fx.model.contracted, r), []))
+    seen = Counter()
+    for start, target in starts:
+        g = start.graph
+        m = LogSurfaceModel(DualGraph(g.vertices, g.edges), start.contracted, start.uniform_r)
+        copy = DualGraph(g.vertices, g.edges)
+        reached.clear()
+        for kind in ("first", "second"):
+            run_mmp(m, kind, "boundary-first")
+            almost_minimalize(m, kind)
+            redundant(m, kind=kind)
+            almost_log_exceptional(m, kind=kind)
+            try:
+                enumerate_runs(m, kind)
+            except TooLarge:
+                pass
+        try:
+            relative_k_mmp(m, target)
+        except (NotNegativeDefinite, UnknownVertex):
+            pass
+        for x, merged in reached:
+            fresh = LogSurfaceModel(copy, x.contracted, x.uniform_r)
+            assert x._component_of == fresh._component_of, sorted(x.contracted)
+            for v in x.noncontracted():
+                assert x._met(v) == fresh._met(v), (sorted(x.contracted), v)
+            seen["merge"] += merged >= 2
+        for key, step in m.graph._answers.items():
+            if key[0] != "step":
+                continue
+            _, vid, met, r_key, use_boundary = key
+            r = None if r_key is None else F(*r_key)
+            local = LogSurfaceModel(copy, frozenset().union(*met), r if use_boundary else m.uniform_r)
+            assert local._met(vid) == met
+            assert step == _direct_step(local, vid, use_boundary), key
+            seen[(use_boundary, None if step is None else step.kind)] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 7, seen
 
 
 def test_every_ladder_verdict_is_the_verdict_of_its_set():
@@ -1038,3 +1131,24 @@ def test_each_verdict_scan_reads_each_fact_once(monkeypatch):
         reads.clear()
         assert len(scan(m, peeling, kind="second")) == count
         assert max(reads.values()) <= 1 and reads["Exc"] == 1, (scan.__name__, reads)
+
+
+@pytest.mark.parametrize("scan", [redundant, almost_log_exceptional])
+def test_a_peeling_of_another_model_is_refused(scan):
+    # [1,2,2] with D = {v0, v1}: v0 is redundant, its image pairs -3/2 with
+    # K + D; the peeling of D = {v0, v1, v2} once gave a (1) verdict at -4/3
+    m = model(chain_graph(1, 2, 2, boundary=(0, 1)))
+    assert [(v.vertex, v.case, v.pairing) for v in redundant(m, kind="second")] == [("v0", "(1)", F(-3, 2))]
+    others = {
+        "other boundary": model(chain_graph(1, 2, 2, boundary=(0, 1, 2))),
+        "other weights": model(chain_graph(1, 2, 3, boundary=(0, 1, 2))),
+        "other graph": model(chain_graph(2, 2, boundary=(0, 1))),
+        "other contracted set": model(chain_graph(1, 2, 2, boundary=(0, 1)), contracted=("v2",)),
+        "other r": model(chain_graph(1, 2, 2, boundary=(0, 1)), r=F(1, 2)),
+    }
+    for what, other in others.items():
+        with pytest.raises(NotApplicable, match="does not start from this model"):
+            scan(m, peel(other, kind="second"), kind="second")
+    # a peeling of an equal model, on an equal graph, is a peeling of m
+    same = LogSurfaceModel(DualGraph(m.graph.vertices, m.graph.edges), m.contracted, m.uniform_r)
+    assert scan(m, peel(same, kind="second"), kind="second") == scan(m, kind="second")
