@@ -221,11 +221,12 @@ def eps_check(model: LogSurfaceModel, eps: Fraction) -> EpsVerdict:
     if not 0 <= eps.numerator <= eps.denominator:
         raise CoeffOutOfRange(f"eps {eps} not in [0,1]")
     tc = total_coefficient(model)
-    # the bound 1 - eps as n/d, compared by integer cross-multiplication
+    # the bound 1 - eps as n/d, compared by integer cross-multiplication;
+    # every exceptional coefficient is below it when the largest one is
     bound = 1 - eps
     n, d = bound.numerator, bound.denominator
     is_lc = tc.value.numerator * d <= n * tc.value.denominator
-    is_dlt = is_lc and all(c.numerator * d < n * c.denominator for c in model.coefficients.values())
+    is_dlt = is_lc and (tc.exceptional is None or tc.exceptional[0] * d < n * tc.exceptional[1])
     if tc.witness:
         witness, witness_cf = tc.witness, tc.value
     else:

@@ -32,20 +32,27 @@ coefficients and the K-correction of a component depend on the component
 All models of one graph share one table of answers on the ``DualGraph``
 (``_memo``), keyed by that local state, so a question is computed once
 however many models of the graph ask it.  The table lives and dies with its
-graph; nothing is shared between graphs.  The run layer keeps its step
-answer there too, one ``("step", ...)`` entry per curve and local state
-(``mmp._step``).  The component partition of a contracted set, with each
-component's factor, is kept once per graph too, and the model on that set
-reads its solves and its keys off it.  One builder makes it,
-``DualGraph._partition``: ``DualGraph.blocks`` has nothing to keep,
-``LogSurfaceModel.contract`` keeps the parent's components that the new
-curves miss and factors only the rest.
+graph; nothing is shared between graphs, and nothing in it holds a model
+or a graph, so a graph no one refers to is freed at once.  The run layer
+keeps its step answer there too, one ``("step", ...)`` entry per curve and
+local state (``mmp._step``), and its whole runs as records of plain data
+(``mmp._record``).  A component's largest coefficient, with the least id
+that reaches it, is kept next to its coefficients (``_component_max``):
+``invariants.total_coefficient`` reads it.  The component partition of a
+contracted set, with each component's factor, is kept once per graph too,
+and the model on that set reads its solves and its keys off it.  One
+builder makes it, ``DualGraph._partition``: ``DualGraph.blocks`` has
+nothing to keep, ``LogSurfaceModel.contract`` keeps the parent's components
+that the new curves miss and factors only the rest.
 
 A model derives the rest of its local state from its parent as well:
 ``contract`` copies the parent's component map (curve to contracted
 component) and points only the members of the new components at them, and
 each model builds the set of components a curve meets (``_met``, the local
-state in every key) once per curve.
+state in every key) once per curve.  ``_derived`` makes such a model from a
+given partition and component map, for ``contract`` and for the replay of a
+kept run.  The views of a model and of a graph are computed once each, by
+``_cached``.
 """
 
 from __future__ import annotations
@@ -82,6 +89,20 @@ Answer = tuple[int, dict[str, int]]
 Blocks = dict[frozenset[str], Factor]
 _T = TypeVar("_T")
 _MISSING = object()
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without its lock (Python 3.11 takes one
+    on every first read): the first read computes the value and stores it in
+    the instance ``__dict__``, which every later read finds first.  Every
+    view it serves is a pure function of a frozen object, so two threads
+    that race on a first read compute equal values, and either may stay."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _check_types(
@@ -194,15 +215,15 @@ class DualGraph:
                 raise ValidationError(f"two edges between {e.a!r} and {e.b!r}")
             pairs.add(e.pair)
 
-    @cached_property
+    @_cached
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @cached_property
+    @_cached
     def by_id(self) -> dict[str, Vertex]:
         return {v.id: v for v in self.vertices}
 
-    @cached_property
+    @_cached
     def adjacency(self) -> dict[str, dict[str, int]]:
         adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
         for e in self.edges:
@@ -256,7 +277,7 @@ class DualGraph:
             rows.append(row)
         return rows
 
-    @cached_property
+    @_cached
     def _answers(self) -> dict[tuple, object]:
         return {}
 
@@ -674,11 +695,11 @@ class LogSurfaceModel:
 
     # -- basic views ------------------------------------------------------
 
-    @cached_property
+    @_cached
     def contracted_order(self) -> tuple[str, ...]:
         return tuple(sorted(self.contracted))
 
-    @cached_property
+    @_cached
     def _coeffs(self) -> dict[str, Fraction]:
         """The boundary coefficient of every curve, shared by the models of
         the graph with this r; not to be changed."""
@@ -700,18 +721,18 @@ class LogSurfaceModel:
         )
         return tuple(v for v in positive if v not in self.contracted)
 
-    @cached_property
+    @_cached
     def boundary_support(self) -> tuple[str, ...]:
         return self._positive(self.uniform_r)
 
-    @cached_property
+    @_cached
     def boundary_flagged(self) -> tuple[str, ...]:
         """Vertices flagged as boundary (support of the reduced divisor D),
         regardless of the current coefficient value."""
         # with no uniform r overriding it, the field itself is the coefficient
         return self._positive(None)
 
-    @cached_property
+    @_cached
     def r(self) -> Optional[Fraction]:
         if self.uniform_r is not None:
             return self.uniform_r
@@ -745,9 +766,17 @@ class LogSurfaceModel:
         for comp in blocks:
             if comp not in old:
                 comp_of.update(dict.fromkeys(comp, comp))
+        return self._derived(contracted, blocks, comp_of)
+
+    def _derived(self, contracted: frozenset[str], blocks: Blocks,
+                 comp_of: dict[str, frozenset[str]]) -> "LogSurfaceModel":
+        """The model of this graph and r on ``contracted``, given its
+        partition and component map, neither checked nor copied: the one
+        place a model is made without the constructor, for ``contract`` and
+        for the replay of a run the graph's table keeps (``mmp._replay``)."""
         child = object.__new__(LogSurfaceModel)
         child.__dict__.update(
-            graph=graph, contracted=contracted, uniform_r=self.uniform_r,
+            graph=self.graph, contracted=contracted, uniform_r=self.uniform_r,
             _r_key=self._r_key, _coeffs=self._coeffs, _blocks=blocks, _component_of=comp_of,
             _mets={},
         )
@@ -755,11 +784,11 @@ class LogSurfaceModel:
 
     # -- exact intersection theory on the contracted model ----------------
 
-    @cached_property
+    @_cached
     def _component_of(self) -> dict[str, frozenset[str]]:
         return {v: comp for comp in self._blocks for v in comp}
 
-    @cached_property
+    @_cached
     def _mets(self) -> dict[str, frozenset[frozenset[str]]]:
         return {}
 
@@ -868,7 +897,7 @@ class LogSurfaceModel:
             lambda: self._pair(vid, graph.k_dot(vid), 1, self._component_k_correction),
         )
 
-    @cached_property
+    @_cached
     def boundary_divisor(self) -> dict[str, Fraction]:
         return {v: self.coeff(v) for v in self.boundary_support}
 
@@ -897,7 +926,19 @@ class LogSurfaceModel:
 
         return self.graph._memo(("coefficients", comp, self._r_key), solve)
 
-    @cached_property
+    def _component_max(self, comp: frozenset[str]) -> tuple[int, int, str]:
+        """The largest coefficient on one contracted component as (n, d, E):
+        n/d over the positive denominator of its answer, E the least id
+        that reaches it.  Read off the integer answer, kept per component."""
+
+        def find() -> tuple[int, int, str]:
+            den, nums = self._component_coefficients(comp)
+            top = max(nums.values())
+            return top, den, min(e for e, n in nums.items() if n == top)
+
+        return self.graph._memo(("cf_max", comp, self._r_key), find)
+
+    @_cached
     def coefficients(self) -> dict[str, Fraction]:
         """cf(E; current model) for every contracted vertex E: the unique
         solution of sum_i cf_i (-E_i.E_j) = K.E_j + theta_j + B.E_j, in

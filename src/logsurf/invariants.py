@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +24,7 @@ from .graph import (
     ONE,
     _as_fork,
     _as_rational,
+    _cached,
     _chain_order,
     _maximal_twigs,
 )
@@ -327,11 +327,11 @@ class GermGraph:
             raise NotNegativeDefinite("a resolution graph must be negative definite") from None
         object.__setattr__(self, "model", model)
 
-    @cached_property
+    @_cached
     def coefficients(self) -> dict[str, Fraction]:
         return dict(self.model.coefficients)
 
-    @cached_property
+    @_cached
     def contacts(self) -> dict[str, Fraction]:
         """theta_j of every decorated curve (theta_j > 0); shared, not to be
         changed."""
@@ -368,11 +368,21 @@ def germ_of(model: LogSurfaceModel, component: Iterable[str]) -> GermGraph:
 class TotalCoefficient:
     value: Fraction
     witness: str
-    # the coefficients the maximum was taken over, on this graph
-    entries: dict[str, Fraction] = field(repr=False, compare=False)
-    graph: DualGraph = field(repr=False, compare=False)
+    # the largest exceptional coefficient as (numerator, positive
+    # denominator), None with nothing contracted
+    exceptional: Optional[tuple[int, int]] = field(repr=False, compare=False)
+    model: LogSurfaceModel = field(repr=False, compare=False)
 
-    @cached_property
+    @_cached
+    def entries(self) -> dict[str, Fraction]:
+        """The coefficients the maximum was taken over: the exceptional ones,
+        then the boundary ones; built only when asked."""
+        model = self.model
+        entries = dict(model.coefficients)
+        entries.update((b, model.coeff(b)) for b in model.boundary_support)
+        return entries
+
+    @_cached
     def may_underreport_at_eps0(self) -> bool:
         """Whether a blowup at a double point could exceed ``value`` at eps = 0.
 
@@ -380,31 +390,43 @@ class TotalCoefficient:
         a curve of coefficient c + c' - 1; at eps = 0 the reported maximum is
         not a certified supremum whenever some adjacent pair sums above 1."""
         entries = self.entries
+        adjacency = self.model.graph.adjacency
         return any(
             w in entries and entries[u] + entries[w] > 1
             for u in entries
-            for w in self.graph.adjacency[u]
+            for w in adjacency[u]
         )
+
+
+def _larger(best: Optional[tuple[int, int, str]], n: int, d: int, v: str) -> tuple[int, int, str]:
+    """The larger of ``best`` and n/d at ``v`` (d > 0), compared by integer
+    cross-multiplication; at a tie, the one with the lesser id."""
+    if best is None:
+        return n, d, v
+    bn, bd, bv = best
+    lhs, rhs = n * bd, bn * d
+    return (n, d, v) if lhs > rhs or (lhs == rhs and v < bv) else best
 
 
 def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
     """Maximum of boundary coefficients and exceptional coefficients of the
-    given resolution.  Exact for any positive epsilon; at epsilon = 0 the flag
-    warns when a blowup at a double point could exceed the reported value."""
-    entries: dict[str, Fraction] = dict(model.coefficients)
+    given resolution, with the least id that reaches it.  Exact for any
+    positive epsilon; at epsilon = 0 the flag warns when a blowup at a double
+    point could exceed the reported value.
+
+    Each contracted component's largest coefficient is read off its integer
+    answer and kept per component (``LogSurfaceModel._component_max``); the
+    maxima and the boundary coefficients are compared as integer pairs, and
+    one ``Fraction`` is built, for the value."""
+    best = None
+    for comp in model._blocks:
+        best = _larger(best, *model._component_max(comp))
+    exceptional = None if best is None else best[:2]
+    coeffs = model._coeffs
     for b in model.boundary_support:
-        entries[b] = model.coeff(b)
-    if not entries:
-        return TotalCoefficient(ZERO, "", entries, model.graph)
-    # the first maximal entry and the least id that reaches it, compared by
-    # integer cross-multiplication over the positive denominators
-    items = iter(entries.items())
-    witness, value = next(items)
-    n, d = value.numerator, value.denominator
-    for v, c in items:
-        lhs, rhs = c.numerator * d, n * c.denominator
-        if lhs > rhs:
-            witness, value, n, d = v, c, c.numerator, c.denominator
-        elif lhs == rhs and v < witness:
-            witness = v
-    return TotalCoefficient(value, witness, entries, model.graph)
+        c = coeffs[b]
+        best = _larger(best, c.numerator, c.denominator, b)
+    if best is None:
+        return TotalCoefficient(ZERO, "", None, model)
+    n, d, witness = best
+    return TotalCoefficient(Fraction(n, d), witness, exceptional, model)

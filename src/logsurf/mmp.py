@@ -18,6 +18,21 @@ ladder of ``almost_minimalize`` is one such chain too: its peelings and
 picks share their step answers from rung to rung, its K-signs and the
 K-step answers of its squeezes are kept from rung to rung by the same rule,
 and each rung's verdict is kept in the graph's table.
+
+Whole runs are kept there as well, as records free of models: a model holds
+its graph, so a model in the graph's table would make the graph reach itself
+and outlive its last reference.  ``run_mmp`` keeps its run under ``("run",
+contracted, r, kinds, strategy)``, a pure or non-pure peeling under
+``("peel", contracted, r, kinds, pure)``; the record holds the steps and,
+for each model after the start, its contracted set, partition and component
+map (``_record``).  A later call replays the record as views of its own
+model (``_replay``, through ``LogSurfaceModel._derived``, which ``contract``
+uses too); a miss returns the run it computed.  ``peel`` and the first rung
+of ``almost_minimalize`` share the peeling record, so ``redundant`` and
+``almost_log_exceptional`` read the peeling of the ladder.  psi, the run
+over the whole exceptional set of ``almost_minimalize``, takes the longest
+prefix of the kept lowest-id run of its kinds whose picks lie in its set
+(``_psi``).
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 from .errors import NotApplicable, NotNegativeDefinite, TooLarge, UnknownVertex
 from .classify import HALF, EpsVerdict, eps_check
 from .graph import (
+    Blocks,
     DualGraph,
     LogSurfaceModel,
     ZERO,
@@ -202,16 +218,56 @@ def _greedy(start: LogSurfaceModel, order: Sequence[str], kinds: Sequence[str],
         models.append(cur)
 
 
+# a run kept in the graph's table, free of models: its steps, and for each
+# model after the start its contracted set, partition and component map
+_Record = tuple[tuple[Step, ...],
+                tuple[tuple[frozenset[str], Blocks, dict[str, frozenset[str]]], ...]]
+
+
+def _record(run: MMPRun) -> _Record:
+    return run.steps, tuple((m.contracted, m._blocks, m._component_of) for m in run.models[1:])
+
+
+def _replay(model: LogSurfaceModel, record: _Record) -> MMPRun:
+    """The kept run from ``model``, its models views of ``model`` made by
+    ``LogSurfaceModel._derived``."""
+    steps, states = record
+    return MMPRun(model, steps, (model, *(model._derived(*state) for state in states)))
+
+
+def _run_key(model: LogSurfaceModel, kinds: Sequence[str], strategy: str) -> tuple:
+    return ("run", model.contracted, model._r_key, kinds, strategy)
+
+
+def _kept_run(model: LogSurfaceModel, key: tuple, order: Sequence[str],
+              kinds: Sequence[str]) -> tuple[MMPRun, _Answers]:
+    """The maximal run of ``_greedy`` from ``model`` over ``order``, with the
+    answers that hold on its final model: replayed from the record kept
+    under ``key`` in the graph's table, else run and recorded there.  The
+    run is maximal, so after a replay no curve of ``order`` left outside the
+    contracted set is admitted: those answers are None."""
+    table = model.graph._answers
+    record = table.get(key)
+    if record is None:
+        run, answers = _greedy(model, order, kinds, True, {})
+        table[key] = _record(run)
+        return run, answers
+    run = _replay(model, record)
+    done = run.final.contracted
+    return run, dict.fromkeys((v for v in order if v not in done), None)
+
+
 def run_mmp(model: LogSurfaceModel, kind: str = FIRST, strategy: str = "lowest-id") -> MMPRun:
     """A maximal run: contract log exceptional curves of the requested kind
-    until none is left.  ``boundary-first`` prefers boundary components."""
+    until none is left.  ``boundary-first`` prefers boundary components.
+    The run is kept in the graph's table; a later call replays it."""
     kinds = _kinds(kind)
     if strategy not in ("lowest-id", "boundary-first"):
         raise NotApplicable(f"unknown strategy {strategy!r}")
 
     first = set(model.boundary_flagged) if strategy == "boundary-first" else set()
     order = sorted(model.noncontracted(), key=lambda v: (v not in first, v))
-    return _greedy(model, order, kinds, True, {})[0]
+    return _kept_run(model, _run_key(model, kinds, strategy), order, kinds)[0]
 
 
 def _target(model: LogSurfaceModel, over: Iterable[str]) -> frozenset[str]:
@@ -348,9 +404,16 @@ def peel(model: LogSurfaceModel, kind: str = FIRST, pure: bool = True) -> Peelin
     kinds = _kinds(kind)
     order = sorted(v for v in model.boundary_flagged
                    if not pure or model.k_pairing(v).numerator >= 0)
-    run = _greedy(model, order, kinds, True, {})[0]
-    gamma, lam, delta, extra = _classify_peeled(model, run.exceptional)
+    run = _kept_run(model, _peel_key(model, kinds, pure), order, kinds)[0]
+    # the split depends on D and r, so on the contracted set, and on Exc
+    exc = run.exceptional
+    gamma, lam, delta, extra = model.graph._memo(
+        ("classes", model.contracted, model._r_key, exc), lambda: _classify_peeled(model, exc))
     return PeelingData(run, pure, kind, gamma, lam, delta, extra)
+
+
+def _peel_key(model: LogSurfaceModel, kinds: Sequence[str], pure: bool) -> tuple:
+    return ("peel", model.contracted, model._r_key, kinds, pure)
 
 
 def _classify_peeled(
@@ -803,7 +866,19 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
     target checked by ``_target``.  The K-signs of the running model, which
     decide purity, the pick order and the K-trivial sweep, are kept through
     sigma by ``_kept``: the K-pairing of a curve changes only when the curve
-    meets a component that holds a curve sigma contracted.
+    meets a component that holds a curve sigma contracted.  The first rung's
+    peeling is the maximal pure peeling of the start, kept in the graph's
+    table for ``peel`` (and read from there when ``peel`` kept it first).
+
+    psi is one elementary-contraction order over the exceptional set T,
+    the lowest-id greedy over T (``relative_mmp``).  The kept lowest-id
+    maximal run R of the same kinds from the same start agrees with it on
+    every pick while R's picks lie in T: both orders go by id, T lies
+    outside the contracted set, and whether a step is admitted depends only
+    on the curve and the running model, so the least admitted curve of all,
+    when it is in T, is the least admitted curve of T.  psi replays R's
+    longest prefix inside T and continues with the greedy over T from there;
+    with no such R kept, the prefix is empty.
     """
     kinds = _kinds(kind)
     steps: list[Step] = []
@@ -825,7 +900,10 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
         # extend the residual peeling to a maximal pure one, purity measured
         # on the running model
         order = sorted(v for v in cur.boundary_flagged if v not in alpha and k_sign(v) >= 0)
-        peeling, answers = _greedy(peeled, order, kinds, True, answers)
+        if ladder:
+            peeling, answers = _greedy(peeled, order, kinds, True, answers)
+        else:  # the maximal pure peeling of the start, kept for peel too
+            peeling, answers = _kept_run(peeled, _peel_key(peeled, kinds, True), order, kinds)
         alpha |= peeling.exceptional
         peeled = peeling.final
         ladder.append(LadderRung(cur, alpha, _eps_for(cur)))
@@ -855,8 +933,25 @@ def almost_minimalize(model: LogSurfaceModel, kind: str = FIRST) -> AlmostMinDec
 
     # one legal elementary-contraction order for the whole run psi
     total = (cur.contracted - model.contracted) | alpha
-    psi = relative_mmp(model, total, use_boundary=True, kind=kind)
+    psi = _psi(model, total, kinds)
     if psi.exceptional != frozenset(total):  # pragma: no cover - theory guarantee
         raise AssertionError("could not realize the run as elementary contractions")
     am_run = MMPRun(model, tuple(steps), tuple(models))
     return AlmostMinDecomposition(psi, am_run, alpha, tuple(ladder))
+
+
+def _psi(model: LogSurfaceModel, total: Iterable[str], kinds: Sequence[str]) -> MMPRun:
+    """The run of ``relative_mmp(model, total, use_boundary=True)`` of
+    ``kinds``: the longest prefix of the kept lowest-id maximal run of
+    ``kinds`` from ``model`` whose picks lie in the target T, replayed, then
+    ``_greedy`` over T from where the prefix ends.  While a pick of that run
+    lies in T it is the least admitted curve of all, so the least admitted
+    curve of T, which the greedy over T picks: both take the same steps."""
+    target = _target(model, total)
+    steps, states = model.graph._answers.get(_run_key(model, kinds, "lowest-id"), ((), ()))
+    k = 0
+    while k < len(steps) and steps[k].vertex in target:
+        k += 1
+    prefix = _replay(model, (steps[:k], states[:k]))
+    rest = _greedy(prefix.final, sorted(target.difference(prefix.exceptional)), kinds, True, {})[0]
+    return MMPRun(model, prefix.steps + rest.steps, prefix.models + rest.models[1:])

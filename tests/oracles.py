@@ -8,10 +8,11 @@ from fractions import Fraction
 from typing import Iterable
 
 from logsurf import (
-    DualGraph, GermGraph, LogSurfaceModel, LogSurfError, MMPRun, NotApplicable,
+    DualGraph, EpsVerdict, GermGraph, LogSurfaceModel, LogSurfError, MMPRun, NotApplicable,
     blow_down, branching_number, discriminant, is_negative_definite,
 )
-from logsurf.graph import ONE, ZERO
+from logsurf.errors import CoeffOutOfRange
+from logsurf.graph import ONE, ZERO, _as_rational
 from logsurf.linalg import bareiss_det, solve_int
 from logsurf.mmp import (
     _KINDS, SECOND, AlmostMinDecomposition, PeelingData, _classify_peeled, curve_verdict, relative_mmp,
@@ -192,3 +193,50 @@ def is_log_smooth_output(decomp: AlmostMinDecomposition) -> bool:
         if sum(contacts, ZERO) + dec > 2 or any(m > 1 for m in contacts):
             return False
     return True
+
+
+def total_coefficient_entries(model: LogSurfaceModel) -> tuple[Fraction, str, dict[str, Fraction]]:
+    """The total coefficient over a ``Fraction`` for every entry: the
+    maximum of the exceptional and the boundary coefficients, the least id
+    that reaches it, and the entries."""
+    entries: dict[str, Fraction] = dict(model.coefficients)
+    for b in model.boundary_support:
+        entries[b] = model.coeff(b)
+    if not entries:
+        return ZERO, "", entries
+    items = iter(entries.items())
+    witness, value = next(items)
+    n, d = value.numerator, value.denominator
+    for v, c in items:
+        lhs, rhs = c.numerator * d, n * c.denominator
+        if lhs > rhs:
+            witness, value, n, d = v, c, c.numerator, c.denominator
+        elif lhs == rhs and v < witness:
+            witness = v
+    return value, witness, entries
+
+
+def may_underreport_at_eps0(model: LogSurfaceModel, entries: dict[str, Fraction]) -> bool:
+    """Whether two adjacent entries sum above 1, so that a blowup at their
+    double point could exceed the total coefficient at eps = 0."""
+    return any(
+        w in entries and entries[u] + entries[w] > 1
+        for u in entries
+        for w in model.graph.adjacency[u]
+    )
+
+
+def eps_check_from_entries(model: LogSurfaceModel, eps) -> EpsVerdict:
+    """``eps_check`` with every exceptional coefficient compared to 1 - eps
+    and every entry built, as ``total_coefficient_entries`` builds them."""
+    eps = _as_rational("eps_check", "eps", eps)
+    if not 0 <= eps.numerator <= eps.denominator:
+        raise CoeffOutOfRange(f"eps {eps} not in [0,1]")
+    value, witness, entries = total_coefficient_entries(model)
+    bound = 1 - eps
+    n, d = bound.numerator, bound.denominator
+    is_lc = value.numerator * d <= n * value.denominator
+    is_dlt = is_lc and all(c.numerator * d < n * c.denominator for c in model.coefficients.values())
+    exact = not (eps == 0 and may_underreport_at_eps0(model, entries))
+    return EpsVerdict(eps=eps, is_lc=is_lc, is_dlt=is_dlt, tcf=value, witness=witness,
+                      witness_cf=value if witness else ZERO, exact=exact)

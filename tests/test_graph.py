@@ -342,6 +342,9 @@ _ONE_CALLER = {
     "DualGraph.factor": "graph.DualGraph._partition",
     # every transition of the run layer, the ladder of almost_minimalize too
     "LogSurfaceModel.contract": "mmp._contract",
+    # every model made without the constructor: by contract or by the replay
+    # of a kept run, through the one derived-model helper
+    "__new__": "graph.LogSurfaceModel._derived",
 }
 
 

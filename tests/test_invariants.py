@@ -34,7 +34,10 @@ from logsurf.graph import find_shapes
 from logsurf.linalg import solve_int
 
 from conftest import chain_graph, fork_graph, model, random_negative_definite_tree
-from oracles import HypothesisViolated, cofactor_matches_path, split_discriminant, tree_coefficient_identity
+from oracles import (
+    HypothesisViolated, cofactor_matches_path, eps_check_from_entries, may_underreport_at_eps0,
+    split_discriminant, total_coefficient_entries, tree_coefficient_identity,
+)
 
 
 # -- discriminants ------------------------------------------------------------
@@ -472,3 +475,73 @@ def test_integer_comparisons_equal_the_fraction_comparisons():
             seen["lc" if is_lc else "not lc"] += 1
             seen["dlt" if is_dlt else "lc, not dlt" if is_lc else "not dlt"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _verdict_draw(rng, i):
+    """A model of 1-8 curves of weights 1-4, some decorated: one time in
+    four a germ, every curve contracted and no boundary; else a tree with
+    boundary coefficients of several values, a contracted set (empty one
+    time in six) and a uniform coefficient, 0 among them, or none; one time
+    in eight a tie, a lone contracted (-k)-curve and a boundary curve of its
+    coefficient 1 - 2/k, either of them the lesser id."""
+    if i % 8 == 1:
+        k = rng.choice((3, 4))
+        e, b = rng.sample(("x0", "x1"), 2)
+        g = DualGraph((Vertex(e, k), Vertex(b, rng.randint(1, 4), boundary=1 - F(2, k))), ())
+        return LogSurfaceModel(g, frozenset({e}))
+    n = rng.randint(1, 8)
+    germ = i % 4 == 0
+    coeffs = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(2, 5))
+    vs = tuple(Vertex(f"x{j}", rng.randint(2 if germ else 1, 4), decoration=F(int(rng.random() < 0.2)),
+                      boundary=F(0) if germ or rng.random() < 0.5 else rng.choice(coeffs))
+               for j in range(n))
+    g = DualGraph(vs, tuple(Edge(f"x{rng.randrange(j)}", f"x{j}") for j in range(1, n)))
+    if germ:
+        exc = frozenset(g.ids)
+    else:
+        exc = frozenset(v for v in g.ids if i % 6 and rng.random() < 0.6)
+    if not is_negative_definite(g, exc):
+        exc = frozenset(v for v in exc if g.vertex(v).weight >= 2 and rng.random() < 0.5)
+        if not is_negative_definite(g, exc):
+            exc = frozenset()
+    return LogSurfaceModel(g, exc, None if germ else rng.choice((None, None, None, F(0), F(1, 3), F(1, 2), F(2, 3))))
+
+
+def test_per_component_verdicts_equal_the_verdicts_over_every_entry():
+    # total_coefficient reads each component's largest coefficient off its
+    # integer answer, eps_check tests dlt on the largest exceptional one and
+    # builds the entries only at eps = 0: every field must equal the verdict
+    # that builds a Fraction for every entry and compares each of them
+    rng = random.Random(23)
+    seen = Counter()
+    for i in range(360):
+        m = _verdict_draw(rng, i)
+        value, witness, entries = total_coefficient_entries(m)
+        tc = total_coefficient(m)
+        assert (tc.value, tc.witness, tc.entries) == (value, witness, entries), i
+        assert type(tc.value) is F
+        assert tc.may_underreport_at_eps0 == may_underreport_at_eps0(m, entries), i
+        exceptional = set(m.coefficients)
+        top = {v for v, c in entries.items() if c == value}
+        seen["tie of a boundary and an exceptional curve"] += bool(top & exceptional and top - exceptional)
+        seen["germ, decorated"] += m.contracted == set(m.graph.ids) and any(
+            v.decoration for v in m.graph.vertices)
+        seen["nothing contracted"] += not exceptional
+        seen["r = 0"] += m.uniform_r == 0
+        values = {m.coeff(b) for b in m.boundary_support}
+        seen["uniform" if len(values) == 1 else "non-uniform" if values else "no boundary"] += 1
+        seen["negative coefficient"] += any(c < 0 for c in m.coefficients.values())
+        at_a_coefficient = {1 - c for c in entries.values()}
+        for eps in (F(0), F(1, 6), F(1, 2), *sorted(at_a_coefficient)):
+            try:
+                want = eps_check_from_entries(m, eps)
+            except CoeffOutOfRange:
+                with pytest.raises(CoeffOutOfRange):
+                    eps_check(m, eps)
+                seen["eps outside [0, 1]"] += 1
+                continue
+            assert eps_check(m, eps) == want, (i, eps)
+            seen["eps = 1 - c"] += eps in at_a_coefficient
+            seen["not exact"] += not want.exact
+            seen["dlt" if want.is_dlt else "lc, not dlt" if want.is_lc else "not lc"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 14, seen

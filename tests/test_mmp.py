@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -684,6 +687,17 @@ def test_every_step_entry_and_derived_model_matches_a_fresh_model(monkeypatch):
         return child
 
     monkeypatch.setattr(LogSurfaceModel, "contract", recorded)
+    # the models that the replay of a run kept in the graph's table makes
+    replayed = []
+    replay = mmp._replay
+
+    def replaying(start, record):
+        run = replay(start, record)
+        replayed.extend(run.models[1:])
+        return run
+
+    monkeypatch.setattr(mmp, "_replay", replaying)
+    replays = 0
     starts = []
     rng = random.Random(18)  # the draws of the runs digest
     for i in range(300):
@@ -701,6 +715,7 @@ def test_every_step_entry_and_derived_model_matches_a_fresh_model(monkeypatch):
         m = LogSurfaceModel(DualGraph(g.vertices, g.edges), start.contracted, start.uniform_r)
         copy = DualGraph(g.vertices, g.edges)
         reached.clear()
+        replayed.clear()
         for kind in ("first", "second"):
             run_mmp(m, kind, "boundary-first")
             almost_minimalize(m, kind)
@@ -720,6 +735,13 @@ def test_every_step_entry_and_derived_model_matches_a_fresh_model(monkeypatch):
             for v in x.noncontracted():
                 assert x._met(v) == fresh._met(v), (sorted(x.contracted), v)
             seen["merge"] += merged >= 2
+        for x in replayed:
+            fresh = LogSurfaceModel(copy, x.contracted, x.uniform_r)
+            assert x._component_of == fresh._component_of, sorted(x.contracted)
+            assert x._blocks == fresh._blocks, sorted(x.contracted)
+            for v in x.noncontracted():
+                assert x._met(v) == fresh._met(v), (sorted(x.contracted), v)
+            replays += 1
         for key, step in m.graph._answers.items():
             if key[0] != "step":
                 continue
@@ -730,6 +752,109 @@ def test_every_step_entry_and_derived_model_matches_a_fresh_model(monkeypatch):
             assert step == _direct_step(local, vid, use_boundary), key
             seen[(use_boundary, None if step is None else step.kind)] += 1
     assert min(seen.values()) >= 100 and len(seen) == 7, seen
+    assert replays >= 1000, replays
+
+
+def _on_a_copy(m, r):
+    """``m`` with the uniform coefficient ``r`` on a copy of its graph, so
+    with an empty table of answers."""
+    return LogSurfaceModel(DualGraph(m.graph.vertices, m.graph.edges), m.contracted, r)
+
+
+_OTHER = {"first": "second", "second": "first"}
+# what the graph's table keeps before almost_minimalize asks for psi
+_BEFORE_PSI = {
+    "no run": lambda m, kind: None,
+    "same kind": lambda m, kind: run_mmp(m, kind),
+    "other kind": lambda m, kind: run_mmp(m, _OTHER[kind]),
+    "boundary-first": lambda m, kind: run_mmp(m, kind, "boundary-first"),
+}
+
+
+def test_psi_equals_the_run_rebuilt_over_its_set():
+    # psi replays the longest prefix of the kept lowest-id run of its kind
+    # whose picks lie in its set, then runs the greedy over the set: it must
+    # equal relative_mmp over the same set with an empty table, whichever
+    # run the table keeps
+    rng = random.Random(18)  # the draws of the runs digest
+    starts = [_run_draw(rng, (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4])[0] for i in range(300)]
+    starts += [fx.model for fx in fixture_corpus()]
+    seen = Counter()
+    for start in starts:
+        for r in dict.fromkeys((start.uniform_r, F(1, 2))):
+            for kind in ("first", "second"):
+                want = None
+                for before, prior in _BEFORE_PSI.items():
+                    m = _on_a_copy(start, r)
+                    kept = prior(m, kind)
+                    psi = almost_minimalize(m, kind).run
+                    if want is None:
+                        want = relative_mmp(_on_a_copy(m, r), psi.exceptional, use_boundary=True, kind=kind)
+                    assert psi == want, (before, kind, r, sorted(m.graph.ids))
+                    if before == "same kind":
+                        shared = len(list(itertools.takewhile(
+                            lambda pair: pair[0] == pair[1], zip(kept.steps, psi.steps))))
+                        seen["prefix replayed"] += shared > 0
+                        seen["run leaves the set"] += shared < len(kept.steps)
+    assert min(seen.values()) >= 100, seen
+
+
+def _reachable(value):
+    """Every value reachable from ``value`` through tuples, lists, sets,
+    dicts and dataclass fields."""
+    stack, seen = [value], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, (tuple, list, set, frozenset)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+_TABLE_CALLS = (
+    lambda m: run_mmp(m, kind="second"),
+    lambda m: almost_minimalize(m, kind="first"),
+    lambda m: almost_minimalize(m, kind="second"),
+    lambda m: redundant(m),
+    lambda m: almost_log_exceptional(m),
+    lambda m: squeeze(m),
+    lambda m: peel(m, pure=False),
+    lambda m: run_mmp(m, strategy="boundary-first"),
+)
+
+
+def _graph_after_the_calls(rng, i):
+    """A weak reference to the graph of a seeded tree after every call of
+    ``_TABLE_CALLS``, once nothing else refers to it; the graph's table is
+    checked to keep no model and no graph first."""
+    m = random_log_smooth_tree(rng, rng.randint(16, 24), (F(1, 3), F(1, 2), F(2, 3), F(1))[i % 4])
+    for call in _TABLE_CALLS:
+        call(m)
+    table = m.graph._answers
+    assert {"run", "peel", "step", "eps"} <= {key[0] for key in table}
+    held = [x for x in _reachable(table) if isinstance(x, (LogSurfaceModel, DualGraph))]
+    assert not held, (i, held[:1])
+    return weakref.ref(m.graph)
+
+
+def test_the_graph_table_keeps_no_model_so_a_dropped_graph_is_freed():
+    # a model in the table would hold the graph, so the graph would reach
+    # itself through its own table and outlive its last reference until the
+    # cycle collector ran
+    rng = random.Random(23)
+    gc.disable()
+    try:
+        for i in range(20):
+            assert _graph_after_the_calls(rng, i)() is None, i
+    finally:
+        gc.enable()
 
 
 def test_every_ladder_verdict_is_the_verdict_of_its_set():
