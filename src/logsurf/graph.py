@@ -9,12 +9,17 @@ model are computed through the unique rational pullback that meets every
 contracted curve trivially.
 
 -Q restricted to the contracted block is block-diagonal over its connected
-components (the singular points), so each component is factored once, by
-``linalg.factor_definite``, and the factorization is cached on its
-``DualGraph``: a contraction refactors only the component it changes.  Every
-solve, ``_solve_int``, runs on one component from its cached fraction-free
-LU factor with one integer right-hand side (no inverse is built).  Its
-answer is integer numerators over d = det(-Q|component): a curve's pullback
+components (the singular points), so each component is factored once, and
+the factorization is cached on its ``DualGraph``: a contraction refactors
+only the component it changes.  ``DualGraph.factor`` walks the component
+from its least id; a tree (every log terminal and rational point, chains
+and forks, double contacts too) goes to ``linalg.factor_tree``, leaf-first
+elimination in O(k) for k curves, and only a component with a cycle to the
+dense pass ``linalg.factor_definite``, O(k^3).  Every solve, ``_solve_int``,
+runs on one component from its cached factor with one integer right-hand
+side (no inverse is built), by the solve of its factor's kind; both give
+the same integer d x = adj(-Q) b, bit for bit.  Its answer is
+integer numerators over d = det(-Q|component): a curve's pullback
 correction, the K-correction, and the coefficients, the one rational
 right-hand side (kept over d times the scale that clears it).  ``self_int``,
 ``k_pairing`` and ``lk_pairing`` add such integers over one denominator
@@ -74,14 +79,16 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .linalg import factor_definite, solve_factored
+from .linalg import TreePlan, factor_definite, factor_tree, solve_factored, solve_tree
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# a connected vertex set in sorted order, d = det(-Q|set) and the
-# fraction-free LU factor of -Q|set that linalg.solve_factored solves from
-Factor = tuple[tuple[str, ...], int, list[list[int]]]
+# a connected vertex set in sorted order, d = det(-Q|set) and how to solve
+# there: on a tree the plan of linalg.factor_tree, a tuple of lists of ints
+# indexed like the order; on a set with a cycle the fraction-free LU factor of
+# linalg.factor_definite, a list of rows.  Both solves give the integer d x.
+Factor = tuple[tuple[str, ...], int, TreePlan | list[list[int]]]
 # an answer on one contracted component: a positive integer denominator, d
 # times the right-hand side's scale, and the integer numerator on each curve
 Answer = tuple[int, dict[str, int]]
@@ -292,14 +299,39 @@ class DualGraph:
 
     def factor(self, comp: frozenset[str]) -> Optional[Factor]:
         """The factorization of -Q on the connected vertex set ``comp``; None
-        when -Q|comp is not positive definite.  Computed once per set."""
+        when -Q|comp is not positive definite.  Computed once per set, by the
+        leaf-first kernel on a tree and by the dense pass on a set with a
+        cycle."""
 
         def find() -> Optional[Factor]:
             order = tuple(sorted(comp))
-            f = factor_definite(self.neg_q(order))
+            tree = self._rooted(order)
+            f = factor_definite(self.neg_q(order)) if tree is None else factor_tree(*tree)
             return None if f is None else (order, *f)
 
         return self._memo(("factor", comp), find)
+
+    def _rooted(self, order: tuple[str, ...]) -> Optional[tuple[list[int], ...]]:
+        """The connected set ``order`` as a tree rooted at its first curve,
+        by position: (walk, up, weights, multiplicities to the parent) for
+        ``linalg.factor_tree``, the walk parents first; None when a curve is
+        met twice, which closes a cycle."""
+        k, adj, by_id = len(order), self.adjacency, self.by_id
+        if k == 1:  # one curve, nothing to walk
+            return [0], [-1], [by_id[order[0]].weight], [0]
+        pos = {u: i for i, u in enumerate(order)}
+        w, up, m, walk = [0] * k, [-1] * k, [0] * k, [0]
+        for v in walk:
+            w[v] = by_id[order[v]].weight
+            for u, mu in adj[order[v]].items():
+                c = pos.get(u)
+                if c is None or c == up[v]:
+                    continue
+                if m[c] or not c:
+                    return None
+                up[c], m[c] = v, mu
+                walk.append(c)
+        return walk, up, w, m
 
     def _partition(self, S: frozenset[str], old: Blocks, new: Iterable[str]) -> Optional[Blocks]:
         """The components of S with their factors, from ``old``, those of S
@@ -657,8 +689,10 @@ def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
 def _solve_int(block: Factor, b: list[int]) -> Answer:
     """(d, d x) on one component with (-Q) x = b there, for the integer
     right-hand side b in the component's order."""
-    order, d, lu = block
-    return d, dict(zip(order, solve_factored(d, lu, b) if any(b) else b))
+    order, d, f = block
+    if any(b):
+        b = solve_tree(d, f, b) if type(f) is tuple else solve_factored(d, f, b)
+    return d, dict(zip(order, b))
 
 
 @dataclass(frozen=True)

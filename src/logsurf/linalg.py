@@ -1,15 +1,20 @@
 """Exact linear algebra helpers.
 
 Determinants use fraction-free (Bareiss) elimination over the integers.
-``factor_definite`` is the one factorization the model layer uses: a single
-fraction-free LU pass over M, without row swaps, whose pivots are the leading
-minors of M (Bareiss 1968), so it tests positive definiteness on the way.
-``solve_factored`` then solves one integer right-hand side b at a time from
-that factor and returns the integer vector d * x, d = det(M), by Cramer's
-rule; no inverse or adjugate is ever built, and no ``Fraction`` either.  The
-model layer calls it in one place, ``graph._solve_int``; its one rational
-right-hand side (a component's coefficients) is scaled to integers first,
-and that answer is kept over d * scale.  ``solve_int``,
+The model layer factors a contracted component with one of two kernels,
+and each tests positive definiteness on the way.  ``factor_tree`` serves a
+component whose curves form a tree: leaf-first elimination has no fill-in
+(Parter 1961), so factor and solve cost O(k) for k curves.
+``factor_definite`` serves a component with a cycle, and is the tests'
+reference: a single fraction-free LU pass over M, without row swaps, whose
+pivots are the leading minors of M (Bareiss 1968), O(k^3).  ``solve_tree``
+and ``solve_factored`` then solve one integer right-hand side b at a time
+from their factor and return the same integer vector d * x, d = det(M):
+d * x = adj(M) b, whatever the elimination order, so it is an integer by
+Cramer's rule.  No inverse or adjugate is ever built, and no ``Fraction``
+either.  The model layer solves in one place, ``graph._solve_int``; its
+one rational right-hand side (a component's coefficients) is scaled to
+integers first, and that answer is kept over d * scale.  ``solve_int``,
 ``leading_minors`` and ``bareiss_det`` stay as independent oracles;
 ``solve_int`` clears denominators, eliminates fraction-free and
 back-substitutes over the rationals, so no floating point ever enters.
@@ -138,4 +143,58 @@ def solve_factored(d: int, lu: list[list[int]], b: Sequence[int]) -> list[int]:
         row = lu[i]
         s = d * b[i] - sum(row[j] * x[j] for j in range(i + 1, n))
         x[i] = s // row[i]
+    return x
+
+
+# the plan of a tree by position: the walk less its root, up, D, m R and m P
+TreePlan = tuple[list[int], list[int], list[int], list[int], list[int]]
+
+
+def factor_tree(walk: list[int], up: list[int], w: list[int],
+                m: list[int]) -> Optional[tuple[int, TreePlan]]:
+    """(d, plan) with d = det(M) for a positive definite M on a tree; None
+    when M is not positive definite.  M has the diagonal ``w`` and -m[c]
+    between c and its parent up[c]; ``walk`` lists the positions parents
+    first, from the root.
+
+    Leaf-first elimination has no fill-in (Parter 1961).  Children first,
+    D(v) = det(M) on v's subtree and P(v) = the product of D over v's
+    children: D(v) = w_v P(v) - sum_c m_c^2 P(c) P(v)/D(c), with no
+    division, one child c at a time: D(v) <- D(v) D(c) - m_c^2 P(c) R(c),
+    R(c) the product of D over the children of v taken before c.  In that
+    order every leading minor is a product of such D, so M is definite iff
+    each D(v) > 0; d = D(root).
+    """
+    rest = walk[1:]
+    d, p = list(w), [1] * len(w)
+    mr, mp = [0] * len(w), [0] * len(w)
+    for c in reversed(rest):
+        dc = d[c]
+        if dc <= 0:
+            return None
+        v, mc = up[c], m[c]
+        mr[c], mp[c] = mc * p[v], mc * p[c]
+        d[v] = d[v] * dc - mr[c] * mp[c]
+        p[v] *= dc
+    if d[walk[0]] <= 0:
+        return None
+    return d[walk[0]], (rest, up, d, mr, mp)
+
+
+def solve_tree(d: int, plan: TreePlan, b: Sequence[int]) -> list[int]:
+    """d * x with M x = b, for (d, plan) = factor_tree(...) and an integer b
+    by position: the integer vector ``solve_factored`` gives for M.
+
+    Leaf-first, B(v) = b_v P(v) + sum_c m_c B(c) P(v)/D(c), accumulated as
+    D(v) is; root-first, d x_root = B(root) and d x_c = (d B(c) + m_c P(c)
+    d x_v) / D(c), each division exact, since d x_c is an integer by
+    Cramer's rule.
+    """
+    rest, up, dv, mr, mp = plan
+    x = list(b)
+    for c in reversed(rest):
+        v = up[c]
+        x[v] = x[v] * dv[c] + mr[c] * x[c]
+    for c in rest:
+        x[c] = (d * x[c] + mp[c] * x[up[c]]) // dv[c]
     return x

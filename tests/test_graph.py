@@ -30,6 +30,7 @@ from logsurf import (
     find_shapes,
     is_negative_definite,
 )
+from logsurf.graph import _solve_int
 from logsurf.linalg import bareiss_det
 
 from conftest import chain_graph, fork_graph, model, random_tree_graph
@@ -334,8 +335,12 @@ def _references(name):
 
 # each primitive of the engines and the one function allowed to call it
 _ONE_CALLER = {
-    # every solve of the model layer
+    # every solve of the model layer, on a tree and on a set with a cycle
     "solve_factored": "graph._solve_int",
+    "solve_tree": "graph._solve_int",
+    # every factorization of a connected set, leaf-first or dense
+    "factor_tree": "graph.DualGraph.factor.find",
+    "factor_definite": "graph.DualGraph.factor.find",
     # every step question of the run layer: the one scan
     "_step": "mmp._admitted",
     # every factorization of a contracted component: the partition builder
@@ -370,6 +375,23 @@ def test_branching_numbers_chain():
 def test_branching_number_d4():
     g = fork_graph(2, (2,), (2,), (2,))
     assert branching_number(g, ["c"]) == 3
+
+
+def test_long_chains_factor_to_their_closed_forms():
+    # through DualGraph.factor, on the first k curves of a chain of 160: the
+    # (-2)-chain has d = k + 1 and d (M^-1)_ij = min(i, j) (k + 1 - max(i, j)),
+    # i and j counted from 1; the chain [1, 2, ..., 2] contracts to a smooth
+    # point, so d = 1
+    a2 = chain_graph(*[2] * 160)
+    e = chain_graph(1, *[2] * 159)
+    for k in range(1, 161):
+        ids = [f"v{i}" for i in range(k)]
+        block = a2.factor(frozenset(ids))
+        assert block[1] == k + 1
+        assert e.factor(frozenset(ids))[1] == 1
+        for j in {1, (k + 1) // 2, k}:
+            _, x = _solve_int(block, [int(v == ids[j - 1]) for v in block[0]])
+            assert x == {ids[i - 1]: min(i, j) * (k + 1 - max(i, j)) for i in range(1, k + 1)}
 
 
 def test_negative_definite_examples():

@@ -377,8 +377,11 @@ def test_cofactor_identity_example():
 
 def test_tree_formula_and_cofactors_random():
     rng = random.Random(47)
-    for _ in range(60):
-        g = random_negative_definite_tree(rng, rng.randint(1, 9), theta_max=1)
+    # 60 trees of 1-9 curves, then two of 20 (the oracles cost about
+    # n^5: a tree of 40 curves would take ten seconds)
+    for i in range(62):
+        n = rng.randint(1, 9) if i < 60 else 20
+        g = random_negative_definite_tree(rng, n, theta_max=1)
         germ = GermGraph(g)
         cf = germ.coefficients
         for j in g.ids:

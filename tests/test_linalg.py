@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from logsurf.linalg import bareiss_det, factor_definite, leading_minors, solve_factored, solve_int
+from logsurf.linalg import (
+    bareiss_det, factor_definite, factor_tree, leading_minors, solve_factored, solve_int, solve_tree,
+)
 
 
 def _over(x, den):
@@ -150,3 +153,57 @@ def test_solve_factored_leaves_b_alone_and_solves_the_empty_matrix():
     assert solve_factored(d, lu, b) == [1, 2, 3]  # d = 4: x = (1/4, 1/2, 3/4)
     assert b == [0, 0, 1]
     assert solve_factored(d, lu, (0, 1, 0)) == [2, 4, 2]
+
+
+def _tree(rng, k, shape):
+    """A seeded tree of k curves as (walk, up, w, m, -Q) by position: a
+    chain, a star, a fork of three arms or a random tree, its curves put at
+    random positions, so the walk (parents first, from the root) is not in
+    position order.  Weights 1-6 and multiplicities 1-3, each within a range
+    drawn per tree, so that many trees are not definite."""
+    if shape == "chain":
+        parent = [i - 1 for i in range(k)]
+    elif shape == "star":
+        parent = [-1] + [0] * (k - 1)
+    elif shape == "fork":
+        parent = [-1] + [max(0, i - 3) for i in range(1, k)]
+    else:
+        parent = [-1] + [rng.randrange(i) for i in range(1, k)]
+    at = list(range(k))
+    rng.shuffle(at)
+    low, most = rng.randint(1, 5), rng.choice((1, 1, 2, 3))
+    up, w, m = [-1] * k, [0] * k, [0] * k
+    for i in range(k):
+        w[at[i]] = rng.randint(low, 6)
+        if i:
+            up[at[i]], m[at[i]] = at[parent[i]], rng.randint(1, most)
+    walk = [at[0]]
+    for v in walk:
+        walk.extend(c for c in range(k) if up[c] == v)
+    neg_q = [[w[i] if i == j else -m[i] if up[i] == j else -m[j] if up[j] == i else 0
+              for j in range(k)] for i in range(k)]
+    return walk, up, w, m, neg_q
+
+
+def test_the_tree_kernel_equals_the_dense_pass():
+    rng = random.Random(23)
+    seen = Counter()
+    for i in range(500):
+        shape = ("chain", "star", "fork", "random")[i % 4]
+        k = rng.randint(1, 40)
+        walk, up, w, m, neg_q = _tree(rng, k, shape)
+        f, dense = factor_tree(walk, up, w, m), factor_definite(neg_q)
+        assert (f is None) == (dense is None), (shape, w, up, m)
+        if f is None:
+            seen["not definite"] += 1
+            continue
+        seen["definite"] += 1
+        seen["definite, 20 curves or more"] += k >= 20
+        seen["definite, a double contact"] += max(m) >= 2
+        d, plan = f
+        assert d == dense[0] == bareiss_det(neg_q)
+        hot = rng.randrange(k)
+        for b in ([0] * k, [int(j == hot) for j in range(k)],
+                  [rng.randint(-9, 9) for _ in range(k)]):
+            assert solve_tree(d, plan, b) == solve_factored(*dense, b)
+    assert min(seen.values()) >= 40, seen

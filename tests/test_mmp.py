@@ -34,11 +34,13 @@ from logsurf import (
 )
 from logsurf import mmp
 from logsurf.graph import _branching_numbers, contracts_to_smooth_point
+from logsurf.linalg import factor_definite
 from logsurf.mmp import Step, _chain_shape, _step, curve_verdict, log_exceptional
 
 from conftest import chain_graph, fork_graph, model, random_log_smooth_tree
 from oracles import ale_characterization, is_log_smooth_output, k_correction, peeling_from, verify_run
-from test_identity import _loop_draw, _run_draw
+import test_identity
+from test_identity import DIGESTS, _digest, _loop_draw, _run_draw
 
 
 def with_r(m, r):
@@ -797,6 +799,40 @@ def test_psi_equals_the_run_rebuilt_over_its_set():
                         seen["prefix replayed"] += shared > 0
                         seen["run leaves the set"] += shared < len(kept.steps)
     assert min(seen.values()) >= 100, seen
+
+
+def _long_chain(n, on_boundary):
+    """The chain [1, 2, ..., 2] of n curves with r = 1/2, every curve on the
+    boundary or none: a run contracts it curve by curve into one component."""
+    g = chain_graph(1, *[2] * (n - 1), boundary=range(n) if on_boundary else ())
+    return LogSurfaceModel(g, frozenset(), F(1, 2))
+
+
+def test_psi_on_a_long_chain_equals_the_run_rebuilt_over_its_set():
+    for kind in ("first", "second"):
+        m = _long_chain(160, True)
+        psi = almost_minimalize(m, kind).run
+        assert len(psi.exceptional) == 160
+        assert psi == relative_mmp(_on_a_copy(m, F(1, 2)), psi.exceptional, use_boundary=True, kind=kind)
+
+
+def test_only_a_component_with_a_cycle_takes_the_dense_pass(monkeypatch, capsys):
+    orders = []
+    monkeypatch.setattr("logsurf.graph.factor_definite",
+                        lambda m: orders.append(len(m)) or factor_definite(m))
+    # every CLI command on the 14 fixtures, the 300 draws of the runs digest
+    # and the runs on a chain of 160 curves: every contracted part is a tree
+    assert _digest(capsys, "json") == DIGESTS["json"]
+    test_identity.test_run_answers_are_identical()
+    assert len(run_mmp(_long_chain(160, False)).exceptional) == 160
+    for kind in ("first", "second"):
+        assert len(almost_minimalize(_long_chain(160, True), kind).run.exceptional) == 160
+    assert orders == []
+    triangle = DualGraph(tuple(Vertex(v, 3) for v in "abc"),
+                         (Edge("a", "b"), Edge("b", "c"), Edge("a", "c")))
+    # K.E = 1 on each curve, and each row of -Q sums to 3 - 1 - 1 = 1
+    assert LogSurfaceModel(triangle, frozenset("abc")).coefficients == dict.fromkeys("abc", F(1))
+    assert orders == [3]
 
 
 def _reachable(value):
