@@ -186,10 +186,11 @@ def duval_type(graph: DualGraph) -> Optional[str]:
 
 
 def is_du_val_germ(germ: GermGraph) -> bool:
-    return all(
-        duval_type(germ.graph.without(set(germ.graph.ids) - comp)) is not None
-        for comp in germ.graph.connected_components(germ.graph.ids)
-    )
+    graph = germ.graph
+    comps = graph.connected_components(graph.ids)
+    if len(comps) == 1:  # the germ itself, whose shape answers are kept
+        return duval_type(graph) is not None
+    return all(duval_type(graph.without(set(graph.ids) - comp)) is not None for comp in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +335,10 @@ def classify_half(germ: GermGraph, strict: bool = True) -> HalfClass:
 
     ``strict`` selects the cf < 1/2 list (cases (1a)/(1b)); otherwise the
     cf = 1/2 list (cases (2a)/(2b)).  The returned coefficients are the
-    closed forms evaluated at the boundary coefficient r = 1/2.
+    closed forms evaluated at the boundary coefficient r = 1/2, a new dict
+    on each call; the match is kept in the graph's table for both lists.
     """
-    matched = _germ_shape_half(germ)
+    matched = germ.graph._memo(("half",), lambda: _germ_shape_half(germ))
     if matched is None:
         raise NotApplicable("germ is not on the coefficient <= 1/2 case list")
     tag, formula, values = matched
@@ -344,7 +346,7 @@ def classify_half(germ: GermGraph, strict: bool = True) -> HalfClass:
         raise NotApplicable("germ has coefficient exactly 1/2, not below")
     if not strict and not tag.startswith("(2"):
         raise NotApplicable("germ has coefficient below 1/2")
-    return HalfClass(tag, formula, values)
+    return HalfClass(tag, formula, dict(values))
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,11 @@ component) and points only the members of the new components at them, and
 each model builds the set of components a curve meets (``_met``, the local
 state in every key) once per curve.  ``_derived`` makes such a model from a
 given partition and component map, for ``contract`` and for the replay of a
-kept run.  The views of a model and of a graph are computed once each, by
-``_cached``.
+kept run.  The views of a model are computed once each, by ``_cached``; a
+graph's ``ids``, ``by_id``, ``adjacency`` and empty table are built by the
+pass that validates it.  Shape answers are kept in the table too, so a germ
+asks each once: ("chain", S) a tuple of ids, ("fork", S) a ``Fork`` of ids,
+and ("half",) the match of ``classify.classify_half``.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from .linalg import TreePlan, factor_definite, factor_tree, solve_factored, solv
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EXACT = (Fraction, int)  # the exact types of a vertex's rationals
 
 # a connected vertex set in sorted order, d = det(-Q|set) and how to solve
 # there: on a tree the plan of linalg.factor_tree, a tuple of lists of ints
@@ -152,20 +156,21 @@ class Vertex:
     boundary: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        # exact types pass on one test each and an exact Fraction is kept:
-        # Fraction(x) would rebuild it through the slow abstract-Rational path
+        # exact types pass on one test each: a Fraction is kept, an int takes
+        # Fraction's int path; any other type is checked, then rebuilt
+        dec, bd = self.decoration, self.boundary
         if not (type(self.id) is str and type(self.weight) is int and type(self.genus) is int
-                and type(self.decoration) is Fraction and type(self.boundary) is Fraction):
+                and type(dec) in _EXACT and type(bd) in _EXACT):
             _check_types(
                 f"vertex {self.id!r}",
                 {"id": self.id},
                 {"weight": self.weight, "genus": self.genus},
-                {"decoration": self.decoration, "boundary": self.boundary},
+                {"decoration": dec, "boundary": bd},
             )
-            if type(self.decoration) is not Fraction:
-                object.__setattr__(self, "decoration", Fraction(self.decoration))
-            if type(self.boundary) is not Fraction:
-                object.__setattr__(self, "boundary", Fraction(self.boundary))
+        if type(dec) is not Fraction:
+            object.__setattr__(self, "decoration", Fraction(dec))
+        if type(bd) is not Fraction:
+            object.__setattr__(self, "boundary", Fraction(bd))
         if not 0 <= self.boundary.numerator <= self.boundary.denominator:
             raise CoeffOutOfRange(f"boundary coefficient {self.boundary} of {self.id!r} not in [0,1]")
         if self.decoration.numerator < 0:
@@ -207,36 +212,26 @@ class DualGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen: set[str] = set()
-        for v in self.vertices:
-            if v.id in seen:
+        # one pass validates and builds the tables: a duplicate id before any
+        # edge, then each edge in input order, dangling before doubled
+        vertices, edges = tuple(self.vertices), tuple(self.edges)
+        by_id: dict[str, Vertex] = {}
+        adj: dict[str, dict[str, int]] = {}
+        for v in vertices:
+            if v.id in by_id:
                 raise DuplicateId(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-        pairs: set[tuple[str, str]] = set()
-        for e in self.edges:
-            if e.a not in seen or e.b not in seen:
-                raise DanglingEdge(f"edge {e.a}-{e.b} references an unknown vertex")
-            if e.pair in pairs:
-                raise ValidationError(f"two edges between {e.a!r} and {e.b!r}")
-            pairs.add(e.pair)
-
-    @_cached
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
-
-    @_cached
-    def by_id(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @_cached
-    def adjacency(self) -> dict[str, dict[str, int]]:
-        adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
-        for e in self.edges:
-            adj[e.a][e.b] = e.mult
-            adj[e.b][e.a] = e.mult
-        return adj
+            by_id[v.id] = v
+            adj[v.id] = {}
+        for e in edges:
+            a, b = e.a, e.b
+            if a not in adj or b not in adj:
+                raise DanglingEdge(f"edge {a}-{b} references an unknown vertex")
+            row = adj[a]
+            if b in row:
+                raise ValidationError(f"two edges between {a!r} and {b!r}")
+            row[b] = adj[b][a] = e.mult
+        self.__dict__.update(vertices=vertices, edges=edges, ids=tuple(by_id), by_id=by_id,
+                             adjacency=adj, _answers={})
 
     def vertex(self, vid: str) -> Vertex:
         try:
@@ -283,10 +278,6 @@ class DualGraph:
                     row[pos[w]] = -m
             rows.append(row)
         return rows
-
-    @_cached
-    def _answers(self) -> dict[tuple, object]:
-        return {}
 
     def _memo(self, key: tuple, compute: Callable[[], _T]) -> _T:
         """The answer for ``key``, a tag and the local state that determines
@@ -449,7 +440,11 @@ def _walk(
 
 def _chain_order(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, ...]]:
     """Order a connected vertex set as a chain, from its smaller end; None
-    when not a chain."""
+    when not a chain.  Kept in the graph's table under ("chain", comp)."""
+    return graph._memo(("chain", comp), lambda: _find_chain(graph, comp))
+
+
+def _find_chain(graph: DualGraph, comp: frozenset[str]) -> Optional[tuple[str, ...]]:
     ends = sorted(
         v for v in comp if sum(m for w, m in graph.adjacency[v].items() if w in comp) <= 1
     )
@@ -526,7 +521,12 @@ def find_shapes(graph: DualGraph, D: Iterable[str]) -> ShapeReport:
 
 def _as_fork(graph: DualGraph, comp: frozenset[str]) -> Optional[Fork]:
     """Read a vertex set as a fork: one branch vertex met once by each of
-    three disjoint chains that make up the rest of the set."""
+    three disjoint chains that make up the rest of the set.  Kept in the
+    graph's table under ("fork", comp)."""
+    return graph._memo(("fork", comp), lambda: _find_fork(graph, comp))
+
+
+def _find_fork(graph: DualGraph, comp: frozenset[str]) -> Optional[Fork]:
     deg = {v: sum(m for w, m in graph.adjacency[v].items() if w in comp) for v in comp}
     branch = [v for v in comp if deg[v] >= 3]
     if len(branch) != 1:

@@ -388,14 +388,16 @@ class TotalCoefficient:
 
         A blowup at a point on two components with coefficients c, c' yields
         a curve of coefficient c + c' - 1; at eps = 0 the reported maximum is
-        not a certified supremum whenever some adjacent pair sums above 1."""
-        entries = self.entries
-        adjacency = self.model.graph.adjacency
-        return any(
-            w in entries and entries[u] + entries[w] > 1
-            for u in entries
-            for w in adjacency[u]
-        )
+        not a certified supremum whenever some adjacent pair sums above 1,
+        compared on the entries as integer pairs (n, d), d > 0."""
+        model, coeffs = self.model, self.model._coeffs
+        pairs = {b: (coeffs[b].numerator, coeffs[b].denominator) for b in model.boundary_support}
+        for comp in model._blocks:
+            den, nums = model._component_coefficients(comp)
+            pairs.update((e, (n, den)) for e, n in nums.items())
+        adjacency = model.graph.adjacency
+        return any(w in pairs and n * pairs[w][1] + pairs[w][0] * d > d * pairs[w][1]
+                   for u, (n, d) in pairs.items() for w in adjacency[u])
 
 
 def _larger(best: Optional[tuple[int, int, str]], n: int, d: int, v: str) -> tuple[int, int, str]:
@@ -423,7 +425,10 @@ def total_coefficient(model: LogSurfaceModel) -> TotalCoefficient:
         best = _larger(best, *model._component_max(comp))
     exceptional = None if best is None else best[:2]
     coeffs = model._coeffs
-    for b in model.boundary_support:
+    support = model.boundary_support
+    if support and model.uniform_r is not None:  # all of it at r: the least id
+        support = (min(support),)
+    for b in support:
         c = coeffs[b]
         best = _larger(best, c.numerator, c.denominator, b)
     if best is None:

@@ -5,6 +5,7 @@ module the way they import ``conftest``."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from logsurf import (
@@ -13,7 +14,7 @@ from logsurf import (
 )
 from logsurf.errors import CoeffOutOfRange
 from logsurf.graph import ONE, ZERO, _as_rational
-from logsurf.linalg import bareiss_det, solve_int
+from logsurf.linalg import factor_definite, solve_factored, solve_int
 from logsurf.mmp import (
     _KINDS, SECOND, AlmostMinDecomposition, PeelingData, _classify_peeled, curve_verdict, relative_mmp,
 )
@@ -46,24 +47,60 @@ def split_discriminant(graph: DualGraph, D1: Iterable[str], D2: Iterable[str], T
     )
 
 
-def _tree_paths(graph: DualGraph) -> dict[tuple[str, str], tuple[str, ...]]:
-    ids = graph.ids
-    n = len(ids)
-    edge_count = sum(e.mult for e in graph.edges)
-    if edge_count != n - len(graph.connected_components(ids)):
-        raise NotATree("graph has a circular subgraph")
-    paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    for start in ids:
-        stack = [(start, (start,))]
-        seen = {start}
-        while stack:
-            cur, path = stack.pop()
-            paths[(start, cur)] = path
-            for w in graph.adjacency[cur]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, path + (w,)))
-    return paths
+class _Tree:
+    """What the tree identities read on one graph, built once: the path
+    between every two curves, d of each connected set asked (a part of
+    E - path), and the dense adjugate of -Q.  Every determinant and solve
+    here is the dense pass, never the tree kernel the identities check."""
+
+    def __init__(self, graph: DualGraph) -> None:
+        ids = graph.ids
+        if sum(e.mult for e in graph.edges) != len(ids) - len(graph.connected_components(ids)):
+            raise NotATree("graph has a circular subgraph")
+        self.graph = graph
+        self.paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        for start in ids:
+            stack = [(start, (start,))]
+            seen = {start}
+            while stack:
+                cur, path = stack.pop()
+                self.paths[(start, cur)] = path
+                for w in graph.adjacency[cur]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append((w, path + (w,)))
+        self._d: dict[frozenset[str], int] = {}
+
+    def path(self, i: str, j: str) -> tuple[str, ...]:
+        if (i, j) not in self.paths:
+            raise NotATree(f"{i!r} and {j!r} lie in different components")
+        return self.paths[(i, j)]
+
+    def d_without(self, path: tuple[str, ...]) -> int:
+        """d(E - path), the product of d over its connected components."""
+        graph, d = self.graph, 1
+        for comp in graph.connected_components(set(graph.ids).difference(path)):
+            if comp not in self._d:
+                self._d[comp] = discriminant(graph, comp)
+            d *= self._d[comp]
+        return d
+
+    @cached_property
+    def adjugate(self) -> list[list[int]]:
+        """Rows of adj(-Q) in vertex order, column j solved from one dense
+        factor on the unit vector e_j."""
+        n = len(self.graph.ids)
+        factored = factor_definite(self.graph.neg_q(self.graph.ids))
+        if factored is None:
+            raise HypothesisViolated("the tree is not negative definite")
+        d, lu = factored
+        cols = [solve_factored(d, lu, [int(k == j) for k in range(n)]) for j in range(n)]
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=4)
+def _tree(graph: DualGraph) -> _Tree:
+    return _Tree(graph)
 
 
 def u_of(germ: GermGraph, vid: str) -> Fraction:
@@ -77,28 +114,20 @@ def tree_coefficient_identity(germ: GermGraph, j: str) -> Fraction:
     (sum_i u(E_i) d(E - path(E_i, E_j))) / d(E)."""
     graph = germ.graph
     graph.vertex(j)
-    paths = _tree_paths(graph)
-    d_all = discriminant(graph, graph.ids)
+    tree = _tree(graph)
     total = ZERO
     for i in graph.ids:
-        if (i, j) not in paths:
-            raise NotATree(f"{i!r} and {j!r} lie in different components")
-        rest = set(graph.ids) - set(paths[(i, j)])
-        total += u_of(germ, i) * discriminant(graph, rest)
-    return total / d_all
+        total += u_of(germ, i) * tree.d_without(tree.path(i, j))
+    return total / tree.d_without(())
 
 
 def cofactor_matches_path(graph: DualGraph, i: str, j: str) -> bool:
-    """Check (-Q)^[i,j] = d(E - path(E_i,E_j)) for a tree."""
-    ids = list(graph.ids)
-    paths = _tree_paths(graph)
-    if (i, j) not in paths:
-        raise NotATree(f"{i!r} and {j!r} lie in different components")
-    ii, jj = ids.index(i), ids.index(j)
-    m = graph.neg_q(ids)
-    minor = [[m[a][b] for b in range(len(ids)) if b != jj] for a in range(len(ids)) if a != ii]
-    cof = (-1) ** (ii + jj) * bareiss_det(minor)
-    return cof == discriminant(graph, set(ids) - set(paths[(i, j)]))
+    """Check (-Q)^[i,j] = d(E - path(E_i,E_j)) for a negative definite
+    tree, the cofactor read off the adjugate."""
+    tree = _tree(graph)
+    path = tree.path(i, j)
+    ids = graph.ids
+    return tree.adjugate[ids.index(j)][ids.index(i)] == tree.d_without(path)
 
 
 def k_correction(model: LogSurfaceModel) -> dict[str, Fraction]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from logsurf import (
     GermGraph,
     LogSurfaceModel,
     NotApplicable,
+    NotLogTerminal,
     NotMinimal,
     Vertex,
     alexeev_compare,
@@ -521,3 +523,115 @@ def test_direct_chain_and_fork_questions_match_find_shapes():
         seen["chain"] += chain is not None
         seen["fork"] += fork is not None
     assert min(seen.values()) > 200, seen
+
+
+def _census_germ(rng):
+    """A seeded negative definite germ of 1-12 curves, a chain, a fork, a
+    tree or a tree with one cycle, a third of them with reduced contacts at
+    one or two curves, and the kind drawn."""
+    while True:
+        kind = rng.choice(("chain", "fork", "tree", "cycle"))
+        n = rng.randint(4 if kind == "fork" else 3 if kind == "cycle" else 1, 12)
+        if kind == "chain":
+            pairs = [(i - 1, i) for i in range(1, n)]
+        elif kind == "fork":
+            cuts = sorted(rng.sample(range(1, n - 1), 2))
+            arms = [range(1, cuts[0] + 1), range(cuts[0] + 1, cuts[1] + 1), range(cuts[1] + 1, n)]
+            pairs = [(arm[k - 1] if k else 0, arm[k]) for arm in arms for k in range(len(arm))]
+        else:
+            c = rng.randint(3, n) if kind == "cycle" else 0
+            pairs = [(i - 1, i) for i in range(1, c)] + ([(0, c - 1)] if c else [])
+            pairs += [(rng.randrange(i), i) for i in range(max(c, 1), n)]
+        dec = [0] * n
+        if rng.random() < 0.35:
+            for _ in range(rng.randint(1, 2)):
+                dec[rng.randrange(n)] = 1
+        vs = tuple(Vertex(f"g{i}", rng.choice((2, 2, 2, 2, 3, 3, 4, 5)), decoration=dec[i])
+                   for i in range(n))
+        g = DualGraph(vs, tuple(Edge(f"g{a}", f"g{b}") for a, b in pairs))
+        if is_negative_definite(g, g.ids):
+            return kind, GermGraph(g)
+
+
+def _census_queries(gg):
+    """The query set of one germ: its class, its du Val type, both half
+    lists, an eps verdict and, for a germ with a leaf, the comparison with
+    the germ less that leaf (the identity embedding)."""
+    g = gg.graph
+    out = [classify_germ(gg).tag, duval_type(g)]
+    for strict in (True, False):
+        try:
+            out.append(classify_half(gg, strict=strict).coefficients)
+        except NotApplicable:
+            out.append(None)
+    out.append(eps_check(gg.model, F(0)).tcf)
+    leaves = [v for v in g.ids if len(g.adjacency[v]) == 1]
+    if leaves:
+        sub = GermGraph(g.without([leaves[0]]))
+        try:
+            out.append(alexeev_compare(sub, gg, {v: v for v in sub.graph.ids}).du_val)
+        except NotLogTerminal:
+            out.append(None)
+    return out
+
+
+def test_kept_shape_answers_equal_fresh_ones():
+    from logsurf.graph import _find_chain, _find_fork
+
+    rng = random.Random(2025)
+    seen = Counter()
+    for _ in range(400):
+        kind, gg = _census_germ(rng)
+        _census_queries(gg)
+        copy = DualGraph(gg.graph.vertices, gg.graph.edges)
+        for key, kept in gg.graph._answers.items():
+            if key[0] == "chain":
+                assert kept == _find_chain(copy, key[1]), key
+            elif key[0] == "fork":
+                assert kept == _find_fork(copy, key[1]), key
+            else:
+                continue
+            seen[(key[0], kept is not None)] += 1
+        seen[kind] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 30, seen
+
+
+def test_the_half_match_is_made_once_per_germ(monkeypatch):
+    import logsurf.classify as classify
+
+    calls = []
+    real = classify._germ_shape_half
+    monkeypatch.setattr(classify, "_germ_shape_half", lambda gg: calls.append(gg) or real(gg))
+    gg = germ(chain_graph(3, 2, 2))  # (1b): on the strict list only
+    first, second = classify_half(gg), classify_half(gg)
+    with pytest.raises(NotApplicable):
+        classify_half(gg, strict=False)
+    assert len(calls) == 1
+    assert first.coefficients == second.coefficients
+    assert first.coefficients is not second.coefficients
+    first.coefficients.clear()
+    assert classify_half(gg).coefficients == second.coefficients
+    rng = random.Random(7)
+    for _ in range(100):
+        _, gg = _census_germ(rng)
+        calls.clear()
+        _census_queries(gg)
+        assert len(calls) == 1
+
+
+def test_a_connected_germ_is_read_as_du_val_without_a_new_graph(monkeypatch):
+    from logsurf.classify import is_du_val_germ
+
+    built = []
+    real = DualGraph.__post_init__
+    monkeypatch.setattr(DualGraph, "__post_init__", lambda g: built.append(g) or real(g))
+    connected = [germ(chain_graph(2, 2, 2)), germ(fork_graph(2, (2,), (2,), (2, 2))),
+                 germ(chain_graph(2, 3)), germ(fork_graph(3, (2,), (2,), (2, 2)))]
+    built.clear()
+    assert [is_du_val_germ(gg) for gg in connected] == [True, True, False, False]
+    assert built == []
+    # two components: one graph for each
+    two = chain_graph(2, 2, 2)
+    two = germ(DualGraph(two.vertices, two.edges[:1]))
+    built.clear()
+    assert is_du_val_germ(two) is True and len(built) == 2

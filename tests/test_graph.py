@@ -15,6 +15,7 @@ from logsurf import (
     DualGraph,
     DuplicateId,
     Edge,
+    LogSurfError,
     LogSurfaceModel,
     NotNegativeDefinite,
     SelfLoop,
@@ -30,7 +31,7 @@ from logsurf import (
     find_shapes,
     is_negative_definite,
 )
-from logsurf.graph import _solve_int
+from logsurf.graph import _check_types, _solve_int
 from logsurf.linalg import bareiss_det
 
 from conftest import chain_graph, fork_graph, model, random_tree_graph
@@ -113,6 +114,108 @@ def test_subclasses_of_str_and_int_are_accepted():
     assert (e.a, e.b, e.mult) == ("a", "b", 2)
     with pytest.raises(CoeffOutOfRange, match=r"^boundary coefficient 3/2 of 'a' not in \[0,1\]$"):
         Vertex(Name("a"), Count(2), boundary=Count(1) + F(1, 2))
+
+
+class _Half(F):
+    """A subclass of Fraction, which a vertex rebuilds as a Fraction."""
+
+
+def _checked_vertex(vid, weight, genus=0, decoration=F(0), boundary=F(0)):
+    """A vertex's stored fields by the checked path alone: every field held
+    to ``_check_types``, each rational rebuilt as a Fraction, then the range
+    checks of ``Vertex``."""
+    _check_types(f"vertex {vid!r}", {"id": vid}, {"weight": weight, "genus": genus},
+                 {"decoration": decoration, "boundary": boundary})
+    decoration, boundary = F(decoration), F(boundary)
+    if not 0 <= boundary <= 1:
+        raise CoeffOutOfRange(f"boundary coefficient {boundary} of {vid!r} not in [0,1]")
+    if decoration < 0:
+        raise CoeffOutOfRange(f"decoration {decoration} of {vid!r} negative")
+    if genus < 0:
+        raise ValidationError(f"genus of {vid!r} negative")
+    return vid, weight, genus, decoration, boundary
+
+
+def _outcome(build):
+    try:
+        got = build()
+    except LogSurfError as err:
+        return type(err), str(err)
+    if isinstance(got, Vertex):
+        got = (got.id, got.weight, got.genus, got.decoration, got.boundary)
+    return got, [type(x) for x in got]
+
+
+def test_the_vertex_fast_path_equals_the_checked_path():
+    # exact ints and Fractions skip _check_types; every other value must
+    # meet the same error, and every accepted one be stored the same way
+    values = (1, 0, -1, 2, F(1, 2), F(3, 2), _Half(1, 2), True, False, 0.5, "1/2", "a", None)
+    fields = ("vid", "weight", "genus", "decoration", "boundary")
+    seen = Counter()
+    for name in fields:
+        for value in values:
+            args = {**dict(vid="a", weight=2, genus=0, decoration=F(0), boundary=F(0)), name: value}
+            fast = _outcome(lambda: Vertex(args["vid"], args["weight"], args["genus"],
+                                           args["decoration"], args["boundary"]))
+            want = _outcome(lambda: _checked_vertex(**args))
+            assert fast == want, (name, value)
+            if isinstance(fast[1], list):
+                assert fast[1][3:] == [F, F]
+            seen["accepted" if isinstance(fast[1], list) else fast[0].__name__] += 1
+    assert set(seen) == {"accepted", "ValidationError", "CoeffOutOfRange"}, seen
+    # an exact Fraction is stored as given
+    half = F(1, 2)
+    assert Vertex("a", 2, decoration=half, boundary=half).boundary is half
+
+
+def _old_tables(g):
+    """ids, by_id and adjacency by their defining expressions, each row in
+    the order of its edges."""
+    adj = {v.id: {} for v in g.vertices}
+    for e in g.edges:
+        adj[e.a][e.b] = e.mult
+        adj[e.b][e.a] = e.mult
+    return tuple(v.id for v in g.vertices), {v.id: v for v in g.vertices}, adj
+
+
+def test_the_one_pass_graph_tables_equal_their_definitions():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        names = rng.sample([f"v{k}" for k in range(3 * n)], n)
+        vs = tuple(Vertex(v, rng.randint(1, 5)) for v in names)
+        pairs = {tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(0, 2 * n))} if n > 1 else ()
+        es = tuple(Edge(*(p if rng.random() < 0.5 else p[::-1]), rng.randint(1, 3)) for p in pairs)
+        g = DualGraph(vs, es)
+        ids, by_id, adj = _old_tables(g)
+        assert (g.ids, g.by_id, g.adjacency) == (ids, by_id, adj)
+        assert list(g.by_id) == list(by_id)
+        assert [(u, list(row.items())) for u, row in g.adjacency.items()] == [
+            (u, list(row.items())) for u, row in adj.items()]
+
+
+def test_graph_faults_are_reported_in_their_order():
+    a, b, c = Vertex("a", 2), Vertex("b", 2), Vertex("c", 2)
+    cases = [
+        # a duplicate id before a dangling edge, before a double edge
+        (((a, b, Vertex("b", 3)), (Edge("a", "x"), Edge("a", "b"), Edge("b", "a"))),
+         DuplicateId, "duplicate vertex id 'b'"),
+        (((a, a, b, b), ()), DuplicateId, "duplicate vertex id 'a'"),
+        # a dangling edge before a later double edge, a double edge before a
+        # later dangling one: each edge in input order
+        (((a, b), (Edge("a", "b"), Edge("y", "a"), Edge("b", "a"))),
+         DanglingEdge, "edge a-y references an unknown vertex"),
+        (((a, b, c), (Edge("b", "a"), Edge("a", "b", 2), Edge("c", "z"))),
+         ValidationError, "two edges between 'a' and 'b'"),
+        (((a, b, c), (Edge("c", "b"), Edge("a", "x"), Edge("b", "z"))),
+         DanglingEdge, "edge a-x references an unknown vertex"),
+        (((a, b, c), (Edge("c", "b"), Edge("a", "c"), Edge("b", "c"), Edge("a", "c"))),
+         ValidationError, "two edges between 'b' and 'c'"),
+    ]
+    for (vs, es), cls, message in cases:
+        with pytest.raises(cls) as err:
+            DualGraph(vs, es)
+        assert type(err.value) is cls and str(err.value) == message
 
 
 def test_rational_fields_take_int_or_fraction():

@@ -377,10 +377,11 @@ def test_cofactor_identity_example():
 
 def test_tree_formula_and_cofactors_random():
     rng = random.Random(47)
-    # 60 trees of 1-9 curves, then two of 20 (the oracles cost about
-    # n^5: a tree of 40 curves would take ten seconds)
-    for i in range(62):
-        n = rng.randint(1, 9) if i < 60 else 20
+    # 60 trees of 1-9 curves, then two of 20 and one each of 30 and 40: the
+    # oracles build a graph's paths and dense adjugate once, and d(E - path)
+    # from the parts of E - path
+    for i in range(64):
+        n = rng.randint(1, 9) if i < 60 else (20, 20, 30, 40)[i - 60]
         g = random_negative_definite_tree(rng, n, theta_max=1)
         germ = GermGraph(g)
         cf = germ.coefficients
@@ -548,3 +549,53 @@ def test_per_component_verdicts_equal_the_verdicts_over_every_entry():
             seen["not exact"] += not want.exact
             seen["dlt" if want.is_dlt else "lc, not dlt" if want.is_lc else "not lc"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 14, seen
+
+
+def _total_draw(rng, i):
+    """A seeded model for the total coefficient: 1-9 curves at shuffled ids
+    (so vertex order is not id order), a tree with sometimes one more edge,
+    boundary coefficients from a few values, r from None, 0, 1/3, 1/2 and 1,
+    and a definite contracted set, all of it or none of it at times."""
+    n = rng.randint(1, 9)
+    names = [f"x{k}" for k in rng.sample(range(12), n)]
+    coeffs = (F(1, 3), F(1, 2), F(2, 3), F(1))
+    vs = tuple(Vertex(v, rng.randint(1, 4), decoration=F(int(rng.random() < 0.15)),
+                      boundary=F(0) if rng.random() < 0.4 else rng.choice(coeffs)) for v in names)
+    es = [Edge(names[rng.randrange(j)], names[j]) for j in range(1, n)]
+    if n > 2 and rng.random() < 0.3:
+        a, b = rng.sample(names, 2)
+        if all({a, b} != {e.a, e.b} for e in es):
+            es.append(Edge(a, b))
+    g = DualGraph(vs, tuple(es))
+    exc = frozenset(v for v in names if g.vertex(v).weight >= 2 and rng.random() < (0.9 if i % 5 else 0))
+    while not is_negative_definite(g, exc):
+        exc = frozenset(rng.sample(sorted(exc), len(exc) - 1))
+    return LogSurfaceModel(g, exc, rng.choice((None, None, F(0), F(1, 3), F(1, 2), F(1))))
+
+
+def test_the_integer_total_coefficient_equals_the_fraction_definitions():
+    # the support is compared once under a uniform r, and the eps = 0 flag
+    # reads integer pairs: value, witness, the largest exceptional
+    # coefficient and the flag equal their definitions over Fractions
+    rng = random.Random(611)
+    seen = Counter()
+    for i in range(400):
+        m = _total_draw(rng, i)
+        value, witness, entries = total_coefficient_entries(m)
+        tc = total_coefficient(m)
+        assert (tc.value, tc.witness) == (value, witness), i
+        cf = m.coefficients
+        assert (None if tc.exceptional is None else F(*tc.exceptional)) == max(cf.values(), default=None)
+        assert tc.may_underreport_at_eps0 == may_underreport_at_eps0(m, entries), i
+        support = {b: m.coeff(b) for b in m.boundary_support}
+        seen["r = 0" if m.uniform_r == 0 else "r = 1" if m.uniform_r == 1
+             else "uniform r" if m.uniform_r is not None else "no uniform r"] += 1
+        seen["non-uniform support" if len(set(support.values())) > 1 else "empty support"
+             if not support else "uniform support"] += 1
+        seen["witness not first in vertex order"] += bool(
+            support and witness in support and witness != next(iter(support)))
+        seen["tie"] += sum(c == value for c in entries.values()) > 1
+        seen["flag"] += tc.may_underreport_at_eps0
+        seen["no flag"] += not tc.may_underreport_at_eps0
+        seen["nothing contracted"] += not m.contracted
+    assert len(seen) == 12 and min(seen.values()) >= 20, seen
